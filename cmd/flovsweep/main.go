@@ -22,16 +22,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"flov"
-	"flov/internal/service"
-	"flov/internal/service/client"
+	"flov/internal/cluster"
+	"flov/internal/cluster/client"
 	"flov/internal/sweep"
 )
 
@@ -57,7 +55,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the per-job progress ticker")
 	server := flag.String("server", "", "delegate the sweep to a running flovd at this base URL (cache flags then apply server-side)")
-	runDir := flag.String("run-dir", "", "run directory: finished rows append to <dir>/rows.ndjson as they complete, surviving interruption")
+	runDir := flag.String("run-dir", "", "run directory: a job store whose row log receives finished rows as they complete, surviving interruption")
 	resume := flag.Bool("resume", false, "with -run-dir: skip points whose rows are already durable from an interrupted run")
 	flag.Parse()
 
@@ -113,34 +111,40 @@ func main() {
 		fatal(fmt.Errorf("spec expands to zero jobs"))
 	}
 
-	// Run-directory persistence: load durable rows from an interrupted
-	// run, skip their points, and append new rows as they complete.
-	loaded := map[string]sweep.Result{}
-	var recorder *rowRecorder
+	// Run-directory persistence: the run dir is a job store holding this
+	// sweep as one job. Finished rows append to its row log as they
+	// complete; -resume adopts the durable rows and skips their points.
+	loaded := map[int]sweep.Result{}
+	var recorder *rowLog
 	if *runDir != "" {
-		if err := os.MkdirAll(*runDir, 0o755); err != nil {
+		store, err := cluster.Open(*runDir)
+		if err != nil {
 			fatal(err)
 		}
-		rowsPath := filepath.Join(*runDir, "rows.ndjson")
+		rec, _, err := store.Submit(cluster.JobRecord{Points: jobs, SubmittedMS: time.Now().UnixMilli()})
+		if err != nil {
+			fatal(err)
+		}
 		if *resume {
-			loaded = loadRows(rowsPath)
+			// The store's hash-pinned reader skips a torn tail from a crash
+			// mid-write, garbage and error rows; their points re-simulate.
+			if loaded, err = store.Rows(rec.ID, jobs); err != nil {
+				fatal(err)
+			}
 		}
-		if recorder, err = newRowRecorder(rowsPath, *resume); err != nil {
-			fatal(err)
-		}
+		recorder = &rowLog{store: store, id: rec.ID}
 	}
 	var pendingIdx []int
 	pending := make([]sweep.Job, 0, len(jobs))
 	for i, j := range jobs {
-		if _, ok := loaded[j.Hash()]; !ok {
+		if _, ok := loaded[i]; !ok {
 			pendingIdx = append(pendingIdx, i)
 			pending = append(pending, j)
 		}
 	}
-	reused := len(jobs) - len(pending)
 	if *resume {
 		fmt.Fprintf(os.Stderr, "resume: reused %d of %d rows from %s\n",
-			reused, len(jobs), filepath.Join(*runDir, "rows.ndjson"))
+			len(jobs)-len(pending), len(jobs), *runDir)
 	}
 
 	engine := &sweep.Engine{Workers: *workers, Cache: cache}
@@ -149,6 +153,7 @@ func main() {
 		observers = append(observers, sweep.NewReporter(os.Stderr))
 	}
 	if recorder != nil {
+		recorder.idx = pendingIdx
 		observers = append(observers, recorder)
 	}
 	if len(observers) > 0 {
@@ -161,16 +166,10 @@ func main() {
 
 	start := time.Now()
 	fresh := engine.Run(ctx, pending)
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			fatal(err)
-		}
-	}
 	results := make([]sweep.Result, len(jobs))
-	for i, j := range jobs {
-		if r, ok := loaded[j.Hash()]; ok {
-			results[i] = r
-		}
+	for i, r := range loaded {
+		r.CacheHit = false // adopted from the run dir, not this run's cache
+		results[i] = r
 	}
 	for k, i := range pendingIdx {
 		results[i] = fresh[k]
@@ -200,73 +199,27 @@ func (m multiProgress) Event(ev sweep.Event) {
 	}
 }
 
-// rowRecorder appends finished rows to rows.ndjson as they complete, so
-// an interrupted sweep keeps everything simulated so far. Error rows are
-// not persisted: a resume should retry them, not immortalize them.
-type rowRecorder struct {
-	mu  sync.Mutex
-	f   *os.File
-	enc *json.Encoder
-}
-
-// newRowRecorder opens the row log, truncating for fresh runs and
-// appending when resuming.
-func newRowRecorder(path string, appendMode bool) (*rowRecorder, error) {
-	flags := os.O_CREATE | os.O_WRONLY
-	if appendMode {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &rowRecorder{f: f, enc: json.NewEncoder(f)}, nil
+// rowLog appends finished rows to the run dir's row log as they
+// complete, so an interrupted sweep keeps everything simulated so far.
+// Error rows are not persisted: a resume should retry them, not
+// immortalize them.
+type rowLog struct {
+	store *cluster.Store
+	id    string
+	idx   []int // engine index -> point index
 }
 
 // Event implements sweep.Progress; called from worker goroutines.
-func (r *rowRecorder) Event(ev sweep.Event) {
+func (r *rowLog) Event(ev sweep.Event) {
 	if ev.Result == nil || ev.Result.Err != "" {
 		return
 	}
 	if ev.Type != sweep.JobDone && ev.Type != sweep.JobCacheHit {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	// Row persistence is best-effort, like cache fills: a full disk must
 	// not kill the sweep producing the rows.
-	_ = r.enc.Encode(ev.Result)
-}
-
-// Close flushes and closes the row log.
-func (r *rowRecorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.f.Close()
-}
-
-// loadRows reads durable rows from an interrupted run, keyed by job
-// hash. Unparseable lines (a torn tail from a crash mid-write) and
-// error-carrying rows are skipped; their points re-simulate.
-func loadRows(path string) map[string]sweep.Result {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	rows := map[string]sweep.Result{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var r sweep.Result
-		if err := json.Unmarshal([]byte(line), &r); err != nil || r.Err != "" {
-			continue
-		}
-		rows[r.Job.Hash()] = r
-	}
-	return rows
+	_ = r.store.AppendRow(r.id, r.idx[ev.Index], 0, *ev.Result)
 }
 
 // runRemote delegates the sweep to a flovd daemon: same spec, same
@@ -276,16 +229,16 @@ func runRemote(base string, spec flov.SweepSpec, format, out string, quiet bool)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	onEvent := func(ev service.StreamEvent) {
+	onEvent := func(ev cluster.StreamEvent) {
 		if quiet {
 			return
 		}
 		switch {
-		case ev.Type == service.EventAccepted:
+		case ev.Type == cluster.EventAccepted:
 			fmt.Fprintf(os.Stderr, "flovd accepted job %s (%d points)\n", ev.ID, ev.Total)
-		case ev.Type == service.EventPoint && ev.Status == service.PointError:
+		case ev.Type == cluster.EventPoint && ev.Status == cluster.PointError:
 			fmt.Fprintf(os.Stderr, "[%d/%d] %-40s ERROR: %s\n", ev.Index+1, ev.Total, ev.Desc, firstLine(ev.Err))
-		case ev.Type == service.EventPoint:
+		case ev.Type == cluster.EventPoint:
 			fmt.Fprintf(os.Stderr, "[%d/%d] %-40s %s (%.2fs)\n", ev.Index+1, ev.Total, ev.Desc, ev.Status, ev.WallMS/1000)
 		}
 	}

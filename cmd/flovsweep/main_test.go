@@ -1,25 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"flov/internal/cluster"
 	"flov/internal/sweep"
 )
 
-// rowLine renders one rows.ndjson record as the recorder writes it.
-func rowLine(t *testing.T, r sweep.Result) string {
-	t.Helper()
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data) + "\n"
-}
-
-func testRows(t *testing.T) []sweep.Result {
+func testJobs(t *testing.T) []sweep.Job {
 	t.Helper()
 	spec := sweep.Spec{
 		Patterns:   []string{"uniform"},
@@ -30,13 +20,49 @@ func testRows(t *testing.T) []sweep.Result {
 		Cycles: 100, Warmup: 10,
 		Seed: 7,
 	}
-	points, err := spec.Jobs()
+	jobs, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]sweep.Result, len(points))
-	for i, p := range points {
-		rows[i] = sweep.Result{Job: p}
+	return jobs
+}
+
+// runDir opens a run directory's store the way flovsweep -run-dir does
+// and returns it with the sweep's job id.
+func runDir(t *testing.T, jobs []sweep.Job) (*cluster.Store, string) {
+	t.Helper()
+	store, err := cluster.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := store.Submit(cluster.JobRecord{Points: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, rec.ID
+}
+
+// appendRaw appends bytes to the sweep's row log as a crash or a foreign
+// writer would.
+func appendRaw(t *testing.T, store *cluster.Store, id, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(store.Dir(), "rows", id+".ndjson"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustRows(t *testing.T, store *cluster.Store, id string, jobs []sweep.Job) map[int]sweep.Result {
+	t.Helper()
+	rows, err := store.Rows(id, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return rows
 }
@@ -45,20 +71,21 @@ func testRows(t *testing.T) []sweep.Result {
 // partial final record (crash mid-append) is skipped and every complete
 // row before it still loads.
 func TestLoadRowsTornTail(t *testing.T) {
-	rows := testRows(t)
-	path := filepath.Join(t.TempDir(), "rows.ndjson")
-	content := rowLine(t, rows[0]) + rowLine(t, rows[1])
-	content += `{"job":{"pattern":"uniform","ra` // torn tail, no newline
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	jobs := testJobs(t)
+	store, id := runDir(t, jobs)
+	log := &rowLog{store: store, id: id, idx: []int{0, 1}}
+	for i, j := range jobs {
+		r := sweep.Result{Job: j}
+		log.Event(sweep.Event{Type: sweep.JobDone, Index: i, Job: j, Result: &r})
 	}
-	got := loadRows(path)
+	appendRaw(t, store, id, `{"point":1,"epoch":0,"result":{"job":{"kind":"synth`) // torn tail, no newline
+	got := mustRows(t, store, id, jobs)
 	if len(got) != 2 {
 		t.Fatalf("loaded %d rows, want 2 (torn tail skipped)", len(got))
 	}
-	for _, r := range rows {
-		if _, ok := got[r.Job.Hash()]; !ok {
-			t.Errorf("row for %s lost", r.Job.Desc())
+	for i, j := range jobs {
+		if got[i].Job.Hash() != j.Hash() {
+			t.Errorf("row for %s lost", j.Desc())
 		}
 	}
 }
@@ -66,15 +93,13 @@ func TestLoadRowsTornTail(t *testing.T) {
 // TestLoadRowsZeroByteAndMissing: both degenerate files mean "no durable
 // rows", never an error.
 func TestLoadRowsZeroByteAndMissing(t *testing.T) {
-	dir := t.TempDir()
-	if got := loadRows(filepath.Join(dir, "absent.ndjson")); len(got) != 0 {
+	jobs := testJobs(t)
+	store, id := runDir(t, jobs)
+	if got := mustRows(t, store, id, jobs); len(got) != 0 {
 		t.Fatalf("missing file loaded %d rows", len(got))
 	}
-	path := filepath.Join(dir, "empty.ndjson")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := loadRows(path); len(got) != 0 {
+	appendRaw(t, store, id, "")
+	if got := mustRows(t, store, id, jobs); len(got) != 0 {
 		t.Fatalf("zero-byte file loaded %d rows", len(got))
 	}
 }
@@ -82,42 +107,43 @@ func TestLoadRowsZeroByteAndMissing(t *testing.T) {
 // TestLoadRowsDuplicateLastWriteWins: re-appended rows for the same
 // point (an interrupted run resumed twice) resolve to the last record.
 func TestLoadRowsDuplicateLastWriteWins(t *testing.T) {
-	rows := testRows(t)
-	first := rows[0]
-	second := rows[0]
+	jobs := testJobs(t)
+	store, id := runDir(t, jobs)
+	first := sweep.Result{Job: jobs[0]}
+	second := first
 	second.Res.AvgLatency = first.Res.AvgLatency + 1 // distinguishable duplicate
-
-	path := filepath.Join(t.TempDir(), "rows.ndjson")
-	content := rowLine(t, first) + rowLine(t, second)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	for _, r := range []sweep.Result{first, second} {
+		if err := store.AppendRow(id, 0, 0, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := loadRows(path)
+	got := mustRows(t, store, id, jobs)
 	if len(got) != 1 {
 		t.Fatalf("loaded %d rows, want 1", len(got))
 	}
-	if r := got[first.Job.Hash()]; r.Res.AvgLatency != second.Res.AvgLatency {
+	if r := got[0]; r.Res.AvgLatency != second.Res.AvgLatency {
 		t.Fatalf("AvgLatency = %v, want last write %v", r.Res.AvgLatency, second.Res.AvgLatency)
 	}
 }
 
 // TestLoadRowsSkipsErrorAndBlankLines: error-carrying rows re-simulate
-// (they are never adopted), and blank lines are tolerated.
+// (they are never adopted), and blank lines and garbage are tolerated.
 func TestLoadRowsSkipsErrorAndBlankLines(t *testing.T) {
-	rows := testRows(t)
-	bad := rows[1]
-	bad.Err = "transient simulator failure"
-
-	path := filepath.Join(t.TempDir(), "rows.ndjson")
-	content := rowLine(t, rows[0]) + "\n\n" + rowLine(t, bad) + "not json at all\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	jobs := testJobs(t)
+	store, id := runDir(t, jobs)
+	if err := store.AppendRow(id, 0, 0, sweep.Result{Job: jobs[0]}); err != nil {
 		t.Fatal(err)
 	}
-	got := loadRows(path)
+	appendRaw(t, store, id, "\n\n")
+	if err := store.AppendRow(id, 1, 0, sweep.Result{Job: jobs[1], Err: "transient simulator failure"}); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(t, store, id, "not json at all\n")
+	got := mustRows(t, store, id, jobs)
 	if len(got) != 1 {
 		t.Fatalf("loaded %d rows, want 1", len(got))
 	}
-	if _, ok := got[bad.Job.Hash()]; ok {
+	if _, ok := got[1]; ok {
 		t.Fatal("error row adopted")
 	}
 }

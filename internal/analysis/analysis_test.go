@@ -148,11 +148,11 @@ func TestNondetAllowlistedPath(t *testing.T) {
 }
 
 // TestNondetServiceAllowlisted reloads the fixture under the serving
-// layer's import paths: flovd is a wall-clock program (queues, HTTP
+// layer's import paths: flovd is a wall-clock program (leases, HTTP
 // deadlines, metrics), so the nondeterm analyzer must stay silent for
-// internal/service and its subpackages.
+// internal/cluster and its subpackages.
 func TestNondetServiceAllowlisted(t *testing.T) {
-	for _, path := range []string{"flov/internal/service", "flov/internal/service/client", "flov/internal/cluster"} {
+	for _, path := range []string{"flov/internal/cluster", "flov/internal/cluster/client"} {
 		loader, _ := newTestLoader(t, path)
 		pkg, err := loader.Load(path)
 		if err != nil {

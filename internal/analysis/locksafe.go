@@ -9,17 +9,17 @@ import (
 )
 
 // LockSafeAnalyzer enforces the serving layer's mutex discipline in
-// internal/service and internal/nlog (the only concurrent packages;
+// internal/cluster and internal/nlog (the only concurrent packages;
 // the simulator core is single-threaded by design):
 //
 //   - every return path of a function that takes a lock releases it
 //     (directly or via defer) — a forgotten unlock on an early error
-//     return deadlocks the job queue under load, the kind of bug that
+//     return deadlocks the job plane under load, the kind of bug that
 //     only fires when a 429/cancel path is actually exercised;
 //   - no channel send, in-module interface method call, or call through
 //     a function value while a lock is held: the callee can block
 //     indefinitely or re-enter the lock (observer callbacks must be
-//     invoked after unlocking, as feed.append's wake-channel close —
+//     invoked after unlocking, as Store.notify's wake-channel close —
 //     which cannot block — is the one sanctioned pattern);
 //   - no goroutine launched inside a loop may capture a variable that
 //     the loop reassigns but declared outside it: all iterations share
@@ -31,15 +31,14 @@ import (
 // the safe direction for a linter with per-line suppressions.
 var LockSafeAnalyzer = &Analyzer{
 	Name: "locksafe",
-	Doc:  "enforce unlock-on-every-path and no blocking calls under locks in service/nlog",
+	Doc:  "enforce unlock-on-every-path and no blocking calls under locks in cluster/nlog",
 	Run:  runLockSafe,
 }
 
 // lockSafeScope lists the import-path prefixes the analyzer covers.
 var lockSafeScope = []string{
-	"flov/internal/service",
-	"flov/internal/nlog",
 	"flov/internal/cluster",
+	"flov/internal/nlog",
 }
 
 func runLockSafe(p *Pass) {

@@ -159,10 +159,10 @@ func TestDefaultReachRootsResolve(t *testing.T) {
 }
 
 // TestLockSafeFixture checks the locksafe rule against its dedicated
-// fixture, mounted inside the analyzer's service scope.
+// fixture, mounted inside the analyzer's job-plane scope.
 func TestLockSafeFixture(t *testing.T) {
-	const path = "flov/internal/service/fixture"
-	loader := newDirLoader(t, map[string]string{path: "locks_service"})
+	const path = "flov/internal/cluster/fixture"
+	loader := newDirLoader(t, map[string]string{path: "locks_serving"})
 	pkg, err := loader.Load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestLockSafeFixture(t *testing.T) {
 	for _, d := range RunPackage(pkg, []*Analyzer{LockSafeAnalyzer}) {
 		got[finding{filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule}]++
 	}
-	dir, err := filepath.Abs(filepath.Join("testdata", "locks_service"))
+	dir, err := filepath.Abs(filepath.Join("testdata", "locks_serving"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestLockSafeFixture(t *testing.T) {
 	}
 }
 
-// TestLockSafeOutOfScope reloads the same fixture outside the service
+// TestLockSafeOutOfScope reloads the same fixture outside the cluster
 // and nlog scope: the analyzer must not run there.
 func TestLockSafeOutOfScope(t *testing.T) {
 	const path = "flov/internal/fixture2"
-	loader := newDirLoader(t, map[string]string{path: "locks_service"})
+	loader := newDirLoader(t, map[string]string{path: "locks_serving"})
 	pkg, err := loader.Load(path)
 	if err != nil {
 		t.Fatal(err)

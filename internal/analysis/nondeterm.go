@@ -19,9 +19,8 @@ var wallClockAllowed = []string{
 	"flov/examples/",         // example programs
 	"flov/internal/sweep",    // engine wall timing + cache timestamps
 	"flov/internal/analysis", // this tool
-	"flov/internal/service",  // serving layer: real deadlines, queues, metrics
-	"flov/internal/service/", // ... and its subpackages (client)
-	"flov/internal/cluster",  // cluster plane: leases, deadlines, backoff are wall-clock by nature
+	"flov/internal/cluster",  // job plane: leases, deadlines, metrics, backoff are wall-clock by nature
+	"flov/internal/cluster/", // ... and its subpackages (client)
 }
 
 // wallClockFuncs are the time-package functions that read the wall

@@ -112,7 +112,7 @@ func runReach(p *ModulePass) {
 			// rot in the root list itself — fail loudly rather than
 			// silently proving nothing. Roots of packages outside this
 			// run's load set are skipped (partial invocations like
-			// `flovlint ./internal/service` cannot see them).
+			// `flovlint ./internal/cluster` cannot see them).
 			if pkg, ok := loaded[root.Pkg]; ok {
 				p.Reportf(pkg.Files[0].Package, "reach entry point %s not found; update the root list", root)
 			}

@@ -1,6 +1,6 @@
 // Package fixture contains deliberate violations of the locksafe rule,
 // marked with trailing "// want locksafe" comments. The tests load it
-// under flov/internal/service/fixture, inside the analyzer's scope.
+// under flov/internal/cluster/fixture, inside the analyzer's scope.
 package fixture
 
 import (
@@ -122,7 +122,7 @@ func (s *Store) BothArms(b bool) {
 	s.mu.Unlock()
 }
 
-// Runner is the service event-loop pattern: lock and unlock within
+// Runner is the worker event-loop pattern: lock and unlock within
 // each iteration of an unconditional loop.
 func (s *Store) Runner(stop chan struct{}) {
 	for {

@@ -1,30 +1,43 @@
-package service_test
+package cluster_test
 
 import (
 	"context"
 	"net/http/httptest"
 	"testing"
 
-	"flov/internal/service"
-	"flov/internal/service/client"
+	"flov/internal/cluster"
+	"flov/internal/cluster/client"
 	"flov/internal/sweep"
 )
 
 // BenchmarkServeSweep measures the serving path itself: submit a spec
-// over HTTP, stream every point event, collect the rows. The cache is
-// warmed before the timer starts, so iterations measure queueing, HTTP,
-// and NDJSON overhead on top of cache reads — the steady state of a
-// dashboard hammering a long-lived flovd — not simulation time.
+// over HTTP, stream every point event, collect the rows. The spec is
+// run once before the timer starts, so iterations measure admission,
+// HTTP and NDJSON overhead on top of reading the stored rows — the
+// steady state of a dashboard hammering a long-lived flovd — not
+// simulation time.
 func BenchmarkServeSweep(b *testing.B) {
 	cache, err := sweep.NewCache(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := service.New(service.Config{Cache: cache})
-	ts := httptest.NewServer(s.Handler())
+	store, err := cluster.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fd := cluster.NewFrontDoor(store, cluster.FrontDoorConfig{Cache: cache})
+	w := &cluster.Worker{Store: store, Cache: cache, Name: "local", Metrics: fd.Metrics()}
+	ctx, stop := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx) // returns when ctx ends
+	}()
+	ts := httptest.NewServer(fd.Handler())
 	defer func() {
 		ts.Close()
-		s.Close()
+		stop()
+		<-done
 	}()
 	c := client.New(ts.URL)
 

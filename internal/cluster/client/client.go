@@ -1,6 +1,6 @@
 // Package client is the Go client for a running flovd daemon. It is
 // used by `flovsweep -server` and by end-to-end tests; the wire types
-// live in the service package so client and server cannot drift.
+// live in the cluster package so client and server cannot drift.
 package client
 
 import (
@@ -16,7 +16,7 @@ import (
 	"strings"
 	"time"
 
-	"flov/internal/service"
+	"flov/internal/cluster"
 	"flov/internal/sweep"
 )
 
@@ -139,7 +139,7 @@ func (c *Client) doRetry(ctx context.Context, mk func() (*http.Request, error)) 
 // server's message and status code.
 func apiError(resp *http.Response) error {
 	defer func() { _ = resp.Body.Close() }()
-	var body service.ErrorBody
+	var body cluster.ErrorBody
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if err == nil && json.Unmarshal(data, &body) == nil && body.Error != "" {
 		return fmt.Errorf("flovd: %s (HTTP %d)", body.Error, resp.StatusCode)
@@ -179,25 +179,25 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 // Submit enqueues a spec fire-and-forget and returns its job status
 // (ID, queue state, dedup flag). The job runs server-side regardless of
 // this client's lifetime.
-func (c *Client) Submit(ctx context.Context, spec sweep.Spec) (service.JobStatus, error) {
+func (c *Client) Submit(ctx context.Context, spec sweep.Spec) (cluster.JobStatus, error) {
 	resp, err := c.postSpec(ctx, "/v1/sweeps", spec)
 	if err != nil {
-		return service.JobStatus{}, err
+		return cluster.JobStatus{}, err
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		return service.JobStatus{}, apiError(resp)
+		return cluster.JobStatus{}, apiError(resp)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	var st service.JobStatus
+	var st cluster.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return service.JobStatus{}, fmt.Errorf("client: decode submit response: %w", err)
+		return cluster.JobStatus{}, fmt.Errorf("client: decode submit response: %w", err)
 	}
 	return st, nil
 }
 
 // Status polls a job.
-func (c *Client) Status(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
+func (c *Client) Status(ctx context.Context, id string) (cluster.JobStatus, error) {
+	var st cluster.JobStatus
 	err := c.getJSON(ctx, "/v1/sweeps/"+id, &st)
 	return st, err
 }
@@ -239,7 +239,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Per-invocation fields the result JSON intentionally omits (CacheHit,
 // Wall) are restored from the stream's progress metadata, so callers
 // see the same rows a local engine run would produce.
-func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(service.StreamEvent)) ([]sweep.Result, sweep.Stats, error) {
+func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(cluster.StreamEvent)) ([]sweep.Result, sweep.Stats, error) {
 	resp, err := c.postSpec(ctx, "/v1/sweeps/run", spec)
 	if err != nil {
 		return nil, sweep.Stats{}, err
@@ -262,7 +262,7 @@ func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(service.
 		if len(line) == 0 {
 			continue
 		}
-		var ev service.StreamEvent
+		var ev cluster.StreamEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return nil, sweep.Stats{}, fmt.Errorf("client: bad stream line: %w", err)
 		}
@@ -270,16 +270,16 @@ func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(service.
 			onEvent(ev)
 		}
 		switch ev.Type {
-		case service.EventAccepted:
+		case cluster.EventAccepted:
 			results = make([]sweep.Result, ev.Total)
-		case service.EventPoint:
+		case cluster.EventPoint:
 			if ev.Result != nil && ev.Index < len(results) {
 				r := *ev.Result
-				r.CacheHit = ev.Status == service.PointCached
+				r.CacheHit = ev.Status == cluster.PointCached
 				r.Wall = time.Duration(ev.WallMS * float64(time.Millisecond))
 				results[ev.Index] = r
 			}
-		case service.EventSummary:
+		case cluster.EventSummary:
 			state = ev.State
 			failure = ev.Err
 			if ev.Stats != nil {
@@ -291,9 +291,9 @@ func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(service.
 		return nil, sweep.Stats{}, fmt.Errorf("client: stream: %w", err)
 	}
 	switch state {
-	case service.StateDone:
+	case cluster.StateDone:
 		return results, stats, nil
-	case service.StateCanceled:
+	case cluster.StateCanceled:
 		return nil, sweep.Stats{}, fmt.Errorf("flovd: job canceled: %s", failure)
 	default:
 		return nil, sweep.Stats{}, fmt.Errorf("flovd: stream ended without a summary")
@@ -301,7 +301,7 @@ func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(service.
 }
 
 // Wait polls until the job reaches a terminal state or ctx expires.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (service.JobStatus, error) {
+func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (cluster.JobStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
@@ -312,7 +312,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (servi
 		if err != nil {
 			return st, err
 		}
-		if st.State == service.StateDone || st.State == service.StateCanceled {
+		if st.State == cluster.StateDone || st.State == cluster.StateCanceled {
 			return st, nil
 		}
 		select {

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"flov/internal/service"
-	"flov/internal/service/client"
+	"flov/internal/cluster"
+	"flov/internal/cluster/client"
 	"flov/internal/sweep"
 )
 
@@ -29,17 +29,36 @@ func testSpec(rates ...float64) sweep.Spec {
 	}
 }
 
-// newServer stands up a full daemon (service + HTTP front end) and a
-// client pointed at it.
-func newServer(t *testing.T, cfg service.Config) (*client.Client, *service.Server) {
+// newNode stands up single-node flovd in-process — a front door and
+// one worker over one fresh store — and returns its HTTP handler. The
+// worker stops with the test.
+func newNode(t *testing.T, cache *sweep.Cache) http.Handler {
 	t.Helper()
-	s := service.New(cfg)
-	ts := httptest.NewServer(s.Handler())
+	store, err := cluster.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := cluster.NewFrontDoor(store, cluster.FrontDoorConfig{Cache: cache})
+	w := &cluster.Worker{Store: store, Cache: cache, Name: "local", Metrics: fd.Metrics()}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx) // returns when ctx ends
+	}()
 	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
+		cancel()
+		<-done
 	})
-	return client.New(ts.URL), s
+	return fd.Handler()
+}
+
+// newServer serves a daemon over HTTP and returns a client pointed at it.
+func newServer(t *testing.T, cache *sweep.Cache) *client.Client {
+	t.Helper()
+	ts := httptest.NewServer(newNode(t, cache))
+	t.Cleanup(ts.Close)
+	return client.New(ts.URL)
 }
 
 // stripTransient zeroes the per-invocation fields (wall time, cache
@@ -62,7 +81,7 @@ func TestRunMatchesDirectEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := newServer(t, service.Config{Cache: cache})
+	c := newServer(t, cache)
 	spec := testSpec(0.01, 0.02)
 
 	points, err := spec.Jobs()
@@ -72,7 +91,7 @@ func TestRunMatchesDirectEngine(t *testing.T) {
 	direct := (&sweep.Engine{}).Run(context.Background(), points)
 
 	var events int
-	served, stats, err := c.Run(context.Background(), spec, func(service.StreamEvent) { events++ })
+	served, stats, err := c.Run(context.Background(), spec, func(cluster.StreamEvent) { events++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +103,16 @@ func TestRunMatchesDirectEngine(t *testing.T) {
 			t.Errorf("point %d: CacheHit on a cold cache", i)
 		}
 	}
-	// accepted + per-point start/done + summary, at minimum.
-	if events < 2*len(points)+2 {
-		t.Errorf("onEvent saw %d events, want at least %d", events, 2*len(points)+2)
+	// accepted + one line per point + summary, at minimum.
+	if events < len(points)+2 {
+		t.Errorf("onEvent saw %d events, want at least %d", events, len(points)+2)
 	}
 	if stats.Jobs != len(points) || stats.Errors != 0 {
 		t.Errorf("stats = %+v, want %d jobs, 0 errors", stats, len(points))
 	}
 
-	// A second Run is answered from the shared cache, and the client
-	// restores the CacheHit flag the result JSON omits.
+	// A second Run is answered from the finished job's stored rows, and
+	// the client restores the CacheHit flag the result JSON omits.
 	again, _, err := c.Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +130,7 @@ func TestRunMatchesDirectEngine(t *testing.T) {
 // TestSubmitStatusResults drives the async path: fire-and-forget
 // submit, poll to completion, fetch rows.
 func TestSubmitStatusResults(t *testing.T) {
-	c, _ := newServer(t, service.Config{})
+	c := newServer(t, nil)
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, testSpec(0.01))
@@ -125,7 +144,7 @@ func TestSubmitStatusResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != service.StateDone || final.Done != 1 || final.Errors != 0 {
+	if final.State != cluster.StateDone || final.Done != 1 || final.Errors != 0 {
 		t.Fatalf("final status = %+v, want done with 1 point", final)
 	}
 	rows, err := c.Results(ctx, st.ID)
@@ -148,7 +167,7 @@ func TestSubmitStatusResults(t *testing.T) {
 // TestRunContextCancel checks client-side cancellation surfaces as an
 // error instead of a hang.
 func TestRunContextCancel(t *testing.T) {
-	c, _ := newServer(t, service.Config{})
+	c := newServer(t, nil)
 	spec := testSpec(0.01)
 	// Slow enough that cancel wins the race, small enough that the
 	// non-preempted in-flight point doesn't stall test teardown.
@@ -175,7 +194,7 @@ func TestRunContextCancel(t *testing.T) {
 // TestUnknownJobErrors checks API errors carry the server's message and
 // status code.
 func TestUnknownJobErrors(t *testing.T) {
-	c, _ := newServer(t, service.Config{})
+	c := newServer(t, nil)
 	if _, err := c.Status(context.Background(), "no-such-job"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("Status(unknown) = %v, want an HTTP 404 error", err)
 	}
@@ -208,9 +227,7 @@ func throttleServer(t *testing.T, n int, retryAfter string, next http.Handler) (
 // TestSubmitRetriesThrottled: a 429 with Retry-After is retried within
 // the attempt budget and the submission eventually lands.
 func TestSubmitRetriesThrottled(t *testing.T) {
-	s := service.New(service.Config{Workers: 1})
-	t.Cleanup(func() { s.Close() })
-	srv, seen := throttleServer(t, 2, "0", s.Handler())
+	srv, seen := throttleServer(t, 2, "0", newNode(t, nil))
 
 	c := client.New(srv.URL)
 	c.Retry = client.RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond}
@@ -244,9 +261,7 @@ func TestSubmitRetryExhausted(t *testing.T) {
 // TestRetryHonorsRetryAfter: the server's whole-second hint is waited
 // out rather than the (much shorter) backoff schedule.
 func TestRetryHonorsRetryAfter(t *testing.T) {
-	s := service.New(service.Config{Workers: 1})
-	t.Cleanup(func() { s.Close() })
-	srv, _ := throttleServer(t, 1, "1", s.Handler())
+	srv, _ := throttleServer(t, 1, "1", newNode(t, nil))
 
 	c := client.New(srv.URL)
 	c.Retry = client.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond}

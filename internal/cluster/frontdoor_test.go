@@ -26,7 +26,7 @@ func postClusterSpec(t *testing.T, url string, spec sweep.Spec, tenant string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/cluster/jobs", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/sweeps", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFrontDoorResumableStream(t *testing.T) {
 	w := &Worker{Store: store, Name: "w1", LeaseTTL: time.Minute, Workers: 2}
 	driveToDone(t, w, store, st.ID)
 
-	resp, err := http.Get(srv.URL + "/v1/cluster/jobs/" + st.ID + "/stream")
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFrontDoorResumableStream(t *testing.T) {
 	if len(all) < 3 { // accepted, claimed, points..., summary
 		t.Fatalf("full stream = %d lines", len(all))
 	}
-	var last Event
+	var last StreamEvent
 	if err := json.Unmarshal([]byte(all[len(all)-1]), &last); err != nil || last.Type != EventSummary {
 		t.Fatalf("last line = %q (err %v), want summary", all[len(all)-1], err)
 	}
@@ -179,7 +179,7 @@ func TestFrontDoorResumableStream(t *testing.T) {
 	// serves the resumed stream identically.
 	srv2 := newFrontDoor(t, store, FrontDoorConfig{})
 	from := len(all) - 2
-	resp, err = http.Get(srv2.URL + "/v1/cluster/jobs/" + st.ID + "/stream?from=" + strconv.Itoa(from))
+	resp, err = http.Get(srv2.URL + "/v1/sweeps/" + st.ID + "/stream?from=" + strconv.Itoa(from))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFrontDoorResults(t *testing.T) {
 	st := decodeClusterStatus(t, postClusterSpec(t, srv.URL, testSpec(0.1), ""))
 
 	// Unfinished: 409.
-	resp, err := http.Get(srv.URL + "/v1/cluster/jobs/" + st.ID + "/results")
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + st.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFrontDoorResults(t *testing.T) {
 	w := &Worker{Store: store, Name: "w1", LeaseTTL: time.Minute, Workers: 2}
 	driveToDone(t, w, store, st.ID)
 
-	resp, err = http.Get(srv.URL + "/v1/cluster/jobs/" + st.ID + "/results")
+	resp, err = http.Get(srv.URL + "/v1/sweeps/" + st.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFrontDoorResults(t *testing.T) {
 	}
 
 	// Status reflects completion.
-	resp, err = http.Get(srv.URL + "/v1/cluster/jobs/" + st.ID)
+	resp, err = http.Get(srv.URL + "/v1/sweeps/" + st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 
 func TestFrontDoorUnknownJob(t *testing.T) {
 	srv := newFrontDoor(t, openStore(t), FrontDoorConfig{})
-	for _, path := range []string{"/v1/cluster/jobs/jnope", "/v1/cluster/jobs/jnope/stream", "/v1/cluster/jobs/jnope/results"} {
+	for _, path := range []string{"/v1/sweeps/jnope", "/v1/sweeps/jnope/stream", "/v1/sweeps/jnope/results"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestFrontDoorTimeoutParam(t *testing.T) {
 	srv := newFrontDoor(t, store, FrontDoorConfig{})
 
 	body, _ := json.Marshal(testSpec(0.1))
-	resp, err := http.Post(srv.URL+"/v1/cluster/jobs?timeout_ms=60000", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/sweeps?timeout_ms=60000", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,11 +95,17 @@ func (s *Store) readLease(id string, epoch int) (leaseWire, bool) {
 	if err != nil {
 		return leaseWire{}, false
 	}
+	return decodeLease(id, epoch, data), true
+}
+
+// decodeLease parses a lease file's bytes. Anything that does not
+// decode reads as expired (zero ExpiresMS) for the given job and epoch.
+func decodeLease(id string, epoch int, data []byte) leaseWire {
 	var w leaseWire
 	if err := json.Unmarshal(data, &w); err != nil {
-		return leaseWire{Job: id, Epoch: epoch}, true // expired (zero ExpiresMS)
+		return leaseWire{Job: id, Epoch: epoch}
 	}
-	return w, true
+	return w
 }
 
 // CurrentLease returns the newest lease epoch of a job, if any.
@@ -123,8 +129,8 @@ func (s *Store) CurrentLease(id string) (LeaseInfo, bool) {
 // the new holder picks up the previous epoch's durable rows and
 // checkpoints.
 func (s *Store) Claim(id, worker string, ttl time.Duration) (*Lease, error) {
-	if _, err := s.Job(id); err != nil {
-		return nil, err
+	if !s.exists(id) {
+		return nil, ErrUnknownJob
 	}
 	epochs, err := s.leaseEpochs(id)
 	if err != nil {
@@ -189,25 +195,7 @@ func (l *Lease) rewrite(expiresMS int64) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(l.store.leasePath(l.Job, l.Epoch))
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.store.leasePath(l.Job, l.Epoch)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return replaceFile(l.store.leasePath(l.Job, l.Epoch), data)
 }
 
 // RemoveLeases deletes a finished job's lease files (housekeeping; the

@@ -1,4 +1,4 @@
-package service
+package cluster
 
 import (
 	"encoding/json"
@@ -9,24 +9,13 @@ import (
 	"flov/internal/opt"
 )
 
-// OptStreamLine is one NDJSON line of the POST /v1/opt/run stream:
-// "generation" lines carry per-round progress, a final "done" line
-// carries the full outcome (Pareto front included), and an "error"
-// line reports a search that failed after streaming began.
-type OptStreamLine struct {
-	Type    string       `json:"type"`
-	Event   *opt.Event   `json:"event,omitempty"`
-	Outcome *opt.Outcome `json:"outcome,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
 // handleOptRun runs a design-space search synchronously, streaming one
 // NDJSON line per finished generation and a final outcome line. The
-// search executes through the daemon's sweep engine configuration, so
-// candidate evaluations share the result cache with sweep jobs. Closing
+// search executes in the front door's process through the shared result
+// cache, so candidate evaluations share cached rows with sweep jobs. Closing
 // the connection cancels the search via the request context.
-func (s *Server) handleOptRun(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
+func (f *FrontDoor) handleOptRun(w http.ResponseWriter, r *http.Request) {
+	if f.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -65,20 +54,20 @@ func (s *Server) handleOptRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.metrics.optRuns.Add(1)
+	f.metrics.optRuns.Add(1)
 	outcome, err := opt.Run(r.Context(), spec, opt.Options{
-		Workers: s.cfg.Workers,
-		Cache:   s.cfg.Cache,
+		Workers: f.cfg.Workers,
+		Cache:   f.cfg.Cache,
 		Progress: func(ev opt.Event) {
-			s.metrics.optGenerations.Add(1)
-			s.metrics.optEvaluations.Add(int64(ev.Simulated + ev.Reused))
-			s.log("opt gen %d/%d: %d simulated, front=%d", ev.Gen+1, ev.Generations, ev.Simulated, ev.Front)
+			f.metrics.optGenerations.Add(1)
+			f.metrics.optEvaluations.Add(int64(ev.Simulated + ev.Reused))
+			f.Logf("opt gen %d/%d: %d simulated, front=%d", ev.Gen+1, ev.Generations, ev.Simulated, ev.Front)
 			line := ev
 			emit(OptStreamLine{Type: "generation", Event: &line})
 		},
 	})
 	if err != nil {
-		s.metrics.optFailed.Add(1)
+		f.metrics.optFailed.Add(1)
 		if !started {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -86,7 +75,7 @@ func (s *Server) handleOptRun(w http.ResponseWriter, r *http.Request) {
 		emit(OptStreamLine{Type: "error", Error: err.Error()})
 		return
 	}
-	s.log("opt done: %d generations, %d simulated, front=%d",
+	f.Logf("opt done: %d generations, %d simulated, front=%d",
 		outcome.Generations, outcome.Simulated, len(outcome.Front))
 	emit(OptStreamLine{Type: "done", Outcome: &outcome})
 }

@@ -1,4 +1,4 @@
-package service
+package cluster
 
 import (
 	"bufio"
@@ -46,8 +46,8 @@ func postOpt(t *testing.T, url string, spec opt.Spec) *http.Response {
 }
 
 func TestOptRunStreamsGenerationsAndOutcome(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp := postOpt(t, ts.URL, tinyOptSpec())
+	_, base, _ := startNode(t, FrontDoorConfig{}, &Worker{})
+	resp := postOpt(t, base, tinyOptSpec())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -93,7 +93,7 @@ func TestOptRunStreamsGenerationsAndOutcome(t *testing.T) {
 	}
 
 	// The optimizer counters must have moved.
-	mresp, err := http.Get(ts.URL + "/metrics")
+	mresp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,14 @@ func TestOptRunStreamsGenerationsAndOutcome(t *testing.T) {
 }
 
 func TestOptRunRejectsBadSpecs(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, base, _ := startNode(t, FrontDoorConfig{}, &Worker{})
 	for name, body := range map[string]string{
 		"malformed json": `{`,
 		"unknown field":  `{"generatons": 2}`,
 		"bad space":      `{"space": {"widths": [1]}}`,
 		"bad strategy":   `{"strategy": "nope"}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/opt/run", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+"/v1/opt/run", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,11 @@ func TestOptRunRejectsBadSpecs(t *testing.T) {
 }
 
 func TestOptRunRefusedWhileDraining(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if err := s.Drain(context.Background()); err != nil {
+	fd, base, _ := startNode(t, FrontDoorConfig{}, &Worker{})
+	if err := fd.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp := postOpt(t, ts.URL, tinyOptSpec())
+	resp := postOpt(t, base, tinyOptSpec())
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 while draining", resp.StatusCode)
 	}

@@ -1,11 +1,8 @@
-package service
+package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,37 +11,24 @@ import (
 	"flov/internal/sweep"
 )
 
-// longSpec is testSpec with windows long enough that a millisecond-scale
-// slice expires while points are mid-simulation.
-func longSpec(rates ...float64) sweep.Spec {
+// sliceSpec is testSpec with windows long enough that a millisecond-
+// scale slice expires while points are mid-simulation.
+func sliceSpec(rates ...float64) sweep.Spec {
 	spec := testSpec(rates...)
 	spec.Cycles = 60_000
 	spec.Warmup = 500
 	return spec
 }
 
-// readStream replays a finished job's NDJSON feed.
-func readStream(t *testing.T, base, id string) []StreamEvent {
+// feedEvents replays a finished job's NDJSON feed.
+func feedEvents(t *testing.T, base, id string) []StreamEvent {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/sweeps/" + id + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	var events []StreamEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev StreamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return events
+	return decodeEvents(t, resp.Body)
 }
 
 // TestPreemptedJobMatchesUnpreempted is the preemption acceptance test:
@@ -52,26 +36,21 @@ func readStream(t *testing.T, base, id string) []StreamEvent {
 // exactly the row set an unpreempted run delivers, and the lifecycle is
 // observable on the stream and /metrics.
 func TestPreemptedJobMatchesUnpreempted(t *testing.T) {
-	spec := longSpec(0.02, 0.04, 0.06)
+	spec := sliceSpec(0.02, 0.04, 0.06)
 	points := mustPoints(t, spec)
-	direct := (&sweep.Engine{}).Run(context.Background(), points)
-	want, err := json.Marshal(direct)
+	want, err := MarshalResults((&sweep.Engine{}).Run(context.Background(), points))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, ts := newTestServer(t, Config{
-		Runners:  1,
-		Workers:  1,
-		JobSlice: 5 * time.Millisecond,
-	})
+	_, base, _ := startNode(t, FrontDoorConfig{}, &Worker{Workers: 1, Slice: 5 * time.Millisecond})
 
-	resp := postSpec(t, ts.URL+"/v1/sweeps", spec)
+	resp := postSpec(t, base+"/v1/sweeps", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
 	st := decodeStatus(t, resp)
-	final := waitDone(t, ts.URL, st.ID)
+	final := waitDone(t, base, st.ID)
 	if final.State != StateDone || final.Errors != 0 {
 		t.Fatalf("final status: %+v", final)
 	}
@@ -82,25 +61,19 @@ func TestPreemptedJobMatchesUnpreempted(t *testing.T) {
 		t.Fatalf("job was never preempted (Resumes = %d); slice too long for the workload?", final.Resumes)
 	}
 
-	rresp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/results")
+	rresp, err := http.Get(base + "/v1/sweeps/" + st.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = rresp.Body.Close() }()
-	served, err := io.ReadAll(rresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.TrimSpace(served); !bytes.Equal(got, want) {
-		t.Fatalf("preempted job rows differ from unpreempted run:\nserved: %.300s\ndirect: %.300s", got, want)
+	if served := readAll(t, rresp); !bytes.Equal(served, want) {
+		t.Fatalf("preempted job rows differ from unpreempted run:\nserved: %.300s\ndirect: %.300s", served, want)
 	}
 
 	// Stream: preempted/resumed pairs, and each point exactly once with
 	// its original index despite running across different slices.
-	events := readStream(t, ts.URL, st.ID)
 	preempted, resumed := 0, 0
 	seen := make(map[int]int)
-	for _, ev := range events {
+	for _, ev := range feedEvents(t, base, st.ID) {
 		switch ev.Type {
 		case EventPreempted:
 			preempted++
@@ -126,15 +99,15 @@ func TestPreemptedJobMatchesUnpreempted(t *testing.T) {
 	}
 
 	// Metrics: lifecycle counters agree with the observed stream.
-	if got := metricValue(t, ts.URL, "flovd_jobs_preempted_total"); got != int64(preempted) {
+	if got := metricValue(t, base, "flovd_jobs_preempted_total"); got != int64(preempted) {
 		t.Fatalf("flovd_jobs_preempted_total = %d, want %d", got, preempted)
 	}
-	if got := metricValue(t, ts.URL, "flovd_jobs_resumed_total"); got != int64(resumed) {
+	if got := metricValue(t, base, "flovd_jobs_resumed_total"); got != int64(resumed) {
 		t.Fatalf("flovd_jobs_resumed_total = %d, want %d", got, resumed)
 	}
 	// Snapshot counts depend on where slices land; the counter must at
 	// least exist and never exceed one per pause opportunity.
-	snaps := metricValue(t, ts.URL, "flovd_points_snapshotted_total")
+	snaps := metricValue(t, base, "flovd_points_snapshotted_total")
 	if snaps < 0 || snaps > int64(preempted*len(points)) {
 		t.Fatalf("flovd_points_snapshotted_total = %d implausible for %d preemptions", snaps, preempted)
 	}
@@ -143,36 +116,30 @@ func TestPreemptedJobMatchesUnpreempted(t *testing.T) {
 // TestSlicedShortJobNeverPreempts: a job that fits inside one slice must
 // finish exactly as without slicing — no spurious pauses.
 func TestSlicedShortJobNeverPreempts(t *testing.T) {
-	spec := testSpec(0.02)
-	_, ts := newTestServer(t, Config{JobSlice: 30 * time.Second})
-	resp := postSpec(t, ts.URL+"/v1/sweeps", spec)
-	st := decodeStatus(t, resp)
-	final := waitDone(t, ts.URL, st.ID)
+	_, base, _ := startNode(t, FrontDoorConfig{}, &Worker{Slice: 30 * time.Second})
+	st := decodeStatus(t, postSpec(t, base+"/v1/sweeps", testSpec(0.02)))
+	final := waitDone(t, base, st.ID)
 	if final.State != StateDone || final.Resumes != 0 {
 		t.Fatalf("short job under a long slice: %+v", final)
 	}
-	if got := metricValue(t, ts.URL, "flovd_jobs_preempted_total"); got != 0 {
+	if got := metricValue(t, base, "flovd_jobs_preempted_total"); got != 0 {
 		t.Fatalf("flovd_jobs_preempted_total = %d, want 0", got)
 	}
 }
 
-// TestTimeoutIsAbsoluteAcrossPreemption pins the deadline fix: the job
-// deadline is set once at admission, so a sliced job that is preempted
-// and requeued many times still cancels when the original JobTimeout
-// elapses. Under the old per-slice clock each resume restarted the
-// budget, and a job whose slices were all shorter than JobTimeout could
-// never time out at all.
+// TestTimeoutIsAbsoluteAcrossPreemption pins the deadline contract: the
+// job deadline is set once at admission, so a sliced job that is
+// preempted and requeued many times still cancels when the original
+// JobTimeout elapses. A per-slice clock would restart the budget on
+// every resume, and a job whose slices were all shorter than JobTimeout
+// could never time out at all.
 func TestTimeoutIsAbsoluteAcrossPreemption(t *testing.T) {
 	// ~300ms of simulation per point serially: total wall time is far
 	// beyond the 300ms deadline, while each 25ms slice is far below it.
-	_, ts := newTestServer(t, Config{
-		Workers:    1,
-		Runners:    1,
-		JobSlice:   25 * time.Millisecond,
-		JobTimeout: 300 * time.Millisecond,
-	})
-	st := decodeStatus(t, postSpec(t, ts.URL+"/v1/sweeps", longSpec(0.05, 0.1, 0.15, 0.2)))
-	final := waitDone(t, ts.URL, st.ID)
+	_, base, _ := startNode(t, FrontDoorConfig{JobTimeout: 300 * time.Millisecond},
+		&Worker{Workers: 1, Slice: 25 * time.Millisecond})
+	st := decodeStatus(t, postSpec(t, base+"/v1/sweeps", sliceSpec(0.05, 0.1, 0.15, 0.2)))
+	final := waitDone(t, base, st.ID)
 	if final.State != StateCanceled {
 		t.Fatalf("state = %q, want canceled (per-slice clock would run to done)", final.State)
 	}

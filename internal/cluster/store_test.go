@@ -32,9 +32,9 @@ func TestSubmitIdempotent(t *testing.T) {
 		t.Fatalf("resubmission clobbered the record: %+v", again)
 	}
 
-	ids, err := s.List()
+	ids, err := s.Pending()
 	if err != nil || len(ids) != 1 || ids[0] != rec.ID {
-		t.Fatalf("List = %v, %v", ids, err)
+		t.Fatalf("Pending = %v, %v", ids, err)
 	}
 }
 

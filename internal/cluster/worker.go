@@ -10,57 +10,15 @@ import (
 	"flov/internal/sweep"
 )
 
-// Event is one line of a job's durable event feed, the cluster
-// counterpart of the single-node daemon's stream events. The feed lives
-// in the store, so any front door can replay it from any offset after a
-// restart — streams are resumable by construction.
-type Event struct {
-	Type   string `json:"type"`
-	Job    string `json:"job,omitempty"`
-	Worker string `json:"worker,omitempty"`
-	Epoch  int    `json:"epoch,omitempty"`
-
-	// Point progress.
-	Index  int    `json:"index,omitempty"`
-	Total  int    `json:"total,omitempty"`
-	Desc   string `json:"desc,omitempty"`
-	Status string `json:"status,omitempty"` // done|cached|error
-	Err    string `json:"err,omitempty"`
-
-	// Terminal summary and preemption bookkeeping.
-	State     string `json:"state,omitempty"`
-	Errors    int    `json:"errors,omitempty"`
-	Remaining int    `json:"remaining,omitempty"`
-}
-
-// Event types on the feed, in rough lifecycle order. A stolen job's
-// feed shows claimed ... preempted ... stolen(higher epoch, different
-// worker) ... summary; a worker re-claiming its own preempted job
-// emits claimed again. Duplicate point lines after a raced steal are
-// possible and harmless (rows are deduplicated, the feed is not).
-const (
-	EventAccepted  = "accepted"
-	EventClaimed   = "claimed"
-	EventStolen    = "stolen"
-	EventPoint     = "point"
-	EventPreempted = "preempted"
-	EventSummary   = "summary"
-)
-
-// Terminal job states in done records and summary events.
-const (
-	StateDone     = "done"
-	StateCanceled = "canceled"
-)
-
-// Worker pulls leased jobs from a shared store and executes them
-// through the sweep engine. Multiple workers on one store form the
-// cluster's execution plane: each polls for claimable jobs (never
-// claimed, released at a preemption boundary, or abandoned by a dead
-// worker whose lease expired), adopts whatever durable rows and
-// checkpoint snapshots earlier epochs left, and simulates only what
-// remains. Determinism makes all interleavings equivalent: the final
-// row set is byte-identical however execution was sliced or stolen.
+// Worker pulls leased jobs from a store and executes them through the
+// sweep engine. One worker in the front door's process is single-node
+// flovd; more workers on one shared store form a cluster. Each claims
+// claimable jobs (never claimed, released at a preemption boundary, or
+// abandoned by a dead worker whose lease expired), adopts whatever
+// durable rows and checkpoint snapshots earlier epochs left, and
+// simulates only what remains. Determinism makes all interleavings
+// equivalent: the final row set is byte-identical however execution
+// was sliced or stolen.
 type Worker struct {
 	Store *Store
 	// Cache is the node-local content-addressed result cache; with
@@ -73,7 +31,9 @@ type Worker struct {
 	// dies stops renewing and its job becomes stealable one TTL later.
 	// Default 10s.
 	LeaseTTL time.Duration
-	// Poll is the idle scan interval. Default 250ms.
+	// Poll is the fallback scan interval for writes by other processes;
+	// writes through the worker's own Store handle wake it at once.
+	// Default 250ms.
 	Poll time.Duration
 	// Slice, when positive, preempts jobs that run longer: in-flight
 	// points checkpoint to the store and the lease is released, so any
@@ -82,14 +42,20 @@ type Worker struct {
 	Slice time.Duration
 	// Workers is the engine pool size per job (<= 0 means GOMAXPROCS).
 	Workers int
+	// Metrics, when non-nil, receives job and point counters (a front
+	// door's set, so /metrics covers the in-process worker).
+	Metrics *Metrics
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
+
+	// runJob substitutes the per-point runner (tests block points on
+	// demand to observe streaming and cancellation mid-flight).
+	runJob func(sweep.Job) sweep.Result
 
 	jobsClaimed   atomic.Int64
 	jobsStolen    atomic.Int64
 	jobsFinished  atomic.Int64
 	jobsPreempted atomic.Int64
-	pointsRun     atomic.Int64
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -118,11 +84,12 @@ func (w *Worker) Counters() (claimed, stolen, finished, preempted int64) {
 }
 
 // Run scans and executes until ctx is canceled. Claimed work is
-// released (not abandoned) on shutdown: in-flight points checkpoint
-// where slicing permits, and the lease expires immediately so another
-// worker continues without waiting out the TTL.
+// released (not abandoned) on shutdown: in-flight points checkpoint,
+// and the lease expires immediately so another worker continues
+// without waiting out the TTL.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
+		changed := w.Store.Changed()
 		worked, err := w.Step(ctx)
 		if err != nil {
 			return err
@@ -136,25 +103,24 @@ func (w *Worker) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
+		case <-changed:
 		case <-time.After(w.poll()):
 		}
 	}
 }
 
-// Step makes one scan pass: claim and execute at most one job slice.
-// It reports whether any work was done (callers poll when idle). Steps
-// are the unit tests drive directly for deterministic orchestration.
+// Step makes one scan pass: claim and execute at most one slice of each
+// claimable job. It reports whether any work was done (callers wait
+// when idle). Steps are the unit tests drive directly for
+// deterministic orchestration.
 func (w *Worker) Step(ctx context.Context) (worked bool, err error) {
-	ids, err := w.Store.List()
+	ids, err := w.Store.Pending()
 	if err != nil {
 		return false, err
 	}
 	for _, id := range ids {
 		if ctx.Err() != nil {
 			return worked, nil
-		}
-		if _, done := w.Store.Done(id); done {
-			continue
 		}
 		prev, hadPrev := w.Store.CurrentLease(id)
 		lease, err := w.Store.Claim(id, w.Name, w.leaseTTL())
@@ -183,10 +149,9 @@ func (w *Worker) Step(ctx context.Context) (worked bool, err error) {
 
 // sliceObserver receives engine progress for one execution slice: it
 // persists finished rows to the store as they complete (durable
-// incremental progress, the cluster's rows.ndjson), collects error rows
-// in memory (errors are retried on adoption, never persisted), and
-// appends point events to the feed. Called from engine worker
-// goroutines.
+// incremental progress), collects error rows in memory (errors are
+// retried on adoption, never persisted), and appends point events to
+// the feed. Called from engine worker goroutines.
 type sliceObserver struct {
 	w     *Worker
 	job   string
@@ -200,7 +165,9 @@ type sliceObserver struct {
 
 // Event implements sweep.Progress.
 func (o *sliceObserver) Event(ev sweep.Event) {
+	o.w.Metrics.point(ev)
 	i := o.idx[ev.Index]
+	var status string
 	switch ev.Type {
 	case sweep.JobStart, sweep.JobPaused:
 		// Starts are noise on a durable feed; pauses are covered by the
@@ -213,23 +180,34 @@ func (o *sliceObserver) Event(ev sweep.Event) {
 		o.mu.Lock()
 		o.errs[i] = *ev.Result
 		o.mu.Unlock()
-		o.w.appendEvent(o.job, Event{Type: EventPoint, Index: i, Total: o.total,
-			Desc: ev.Job.Desc(), Status: "error", Err: firstLine(ev.Err)})
+		status = PointError
+	case sweep.JobDone:
+		status = PointDone
+	case sweep.JobCacheHit:
+		status = PointCached
+	}
+	// The row is encoded once, for both the row log and the feed line.
+	res, err := json.Marshal(ev.Result)
+	if err != nil {
+		o.w.logf("encode row for %s point %d: %v", o.job, i, err)
 		return
-	case sweep.JobDone, sweep.JobCacheHit:
-		status := "done"
-		if ev.Type == sweep.JobCacheHit {
-			status = "cached"
-		}
-		o.w.pointsRun.Add(1)
-		if err := o.w.Store.AppendRow(o.job, i, o.epoch, *ev.Result); err != nil {
+	}
+	if status != PointError {
+		if err := o.w.Store.appendRow(o.job, i, o.epoch, ev.Result.CacheHit, res); err != nil {
 			// Row persistence is best-effort per row; the terminal results
-			// write is the gate that matters, and it re-derives from the
-			// engine's in-memory results on this path.
+			// write is the gate that matters, and it merges this slice's
+			// in-memory rows.
 			o.w.logf("row append failed for %s point %d: %v", o.job, i, err)
 		}
-		o.w.appendEvent(o.job, Event{Type: EventPoint, Index: i, Total: o.total,
-			Desc: ev.Job.Desc(), Status: status})
+	}
+	line, err := withResult(StreamEvent{Type: EventPoint, Index: i, Total: o.total,
+		Desc: ev.Job.Desc(), Status: status, Err: ev.Err, ID: o.job, Worker: o.w.Name, Epoch: o.epoch,
+		WallMS: float64(ev.Wall) / float64(time.Millisecond), SimCycles: ev.SimCycles}, res)
+	if err == nil {
+		err = o.w.Store.AppendEvent(o.job, line)
+	}
+	if err != nil {
+		o.w.logf("event append failed for %s: %v", o.job, err)
 	}
 }
 
@@ -244,24 +222,17 @@ func (o *sliceObserver) errors() map[int]sweep.Result {
 	return out
 }
 
-// appendEvent marshals and appends one feed line, best-effort.
-func (w *Worker) appendEvent(id string, ev Event) {
-	ev.Job = id
-	if ev.Worker == "" {
-		ev.Worker = w.Name
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	if err := w.Store.AppendEvent(id, line); err != nil {
+// appendEvent appends one feed line stamped with this worker, best-effort.
+func (w *Worker) appendEvent(id string, ev StreamEvent) {
+	ev.Worker = w.Name
+	if err := w.Store.appendEvent(id, ev); err != nil {
 		w.logf("event append failed for %s: %v", id, err)
 	}
 }
 
 // execute runs one leased slice of a job: adopt durable rows and
-// checkpoints, simulate pending points until done, preempted, deadline,
-// or shutdown, then persist the outcome and release the lease.
+// checkpoints, simulate pending points until done, preempted, canceled,
+// deadline, or shutdown, then persist the outcome and release the lease.
 func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stolen bool) {
 	durable, err := w.Store.Rows(rec.ID, rec.Points)
 	if err != nil {
@@ -276,29 +247,41 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		}
 	}
 	kind := EventClaimed
-	if stolen {
+	switch {
+	case stolen:
 		kind = EventStolen
+	case lease.Epoch > 1:
+		kind = EventResumed
 	}
-	w.appendEvent(rec.ID, Event{Type: kind, Epoch: lease.Epoch,
+	if lease.Epoch > 1 {
+		w.Metrics.lease()
+	}
+	w.appendEvent(rec.ID, StreamEvent{Type: kind, Epoch: lease.Epoch,
 		Total: len(rec.Points), Remaining: len(idx)})
-	w.logf("%s %s epoch %d: %d of %d points pending",
-		kind, rec.ID, lease.Epoch, len(idx), len(rec.Points))
+	verb := "start"
+	if lease.Epoch > 1 {
+		verb = kind
+	}
+	w.logf("%s %s (epoch %d, %d of %d points pending)", verb, rec.ID, lease.Epoch, len(idx), len(rec.Points))
 
+	if reason, ok := w.Store.CancelRequested(rec.ID); ok {
+		w.finish(rec, lease, durable, nil, StateCanceled, reason)
+		return
+	}
 	if len(idx) == 0 {
 		// Every point already has a durable row — the previous holder
 		// died between its last row and the terminal write. Finish the
 		// bookkeeping it never got to.
-		w.finalize(rec, lease, durable, nil, StateDone, "")
+		w.finish(rec, lease, durable, nil, StateDone, "")
 		return
 	}
-
 	// An already-lapsed absolute deadline cancels before the engine
 	// starts. Requeues and steals never restart the clock, and a
 	// pre-canceled context racing the engine's dispatch would leave it
 	// nondeterministic which points error; skipping the engine makes
 	// every pending point a clean cancellation.
 	if rec.DeadlineMS > 0 && time.Now().UnixMilli() >= rec.DeadlineMS {
-		w.finalize(rec, lease, durable, nil, StateCanceled, "job deadline exceeded")
+		w.finish(rec, lease, durable, nil, StateCanceled, deadlineReason)
 		return
 	}
 
@@ -316,10 +299,10 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		w.logf("%s: adopted %d checkpoint snapshot(s)", rec.ID, adoptedSnaps)
 	}
 
-	// Cache federation: pull rows (and warm blobs, when the warm path is
-	// active) computed elsewhere into the local cache before simulating.
+	// Cache federation: pull rows computed elsewhere into the local cache
+	// before simulating.
 	if w.Peers.Len() > 0 && w.Cache != nil {
-		if n := w.Peers.Warm(w.Cache, pending, w.Slice <= 0); n > 0 {
+		if n := w.Peers.Warm(w.Cache, pending, false); n > 0 {
 			w.logf("%s: federated %d cache entr(ies) from peers", rec.ID, n)
 		}
 	}
@@ -333,23 +316,34 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 	}
 	defer cancel()
 
-	// Renew the lease while executing; losing it (a steal after a renew
-	// gap) preempts the engine so this epoch stops burning CPU.
-	var lost atomic.Bool
-	renewCtx, stopRenew := context.WithCancel(dctx)
-	var renewWG sync.WaitGroup
-	renewWG.Add(1)
+	// Watch the lease and cancel requests while executing. Losing the
+	// lease (a steal after a renew gap) or a cancel request pauses the
+	// engine, so this epoch stops burning CPU at the next quantum. A
+	// request made through this process's store handle is seen at once;
+	// one from another process at the next poll.
+	var lost, marked atomic.Bool
+	canceled := func() bool { return marked.Load() || w.Store.cancelSignaled(rec.ID) }
+	watchCtx, stopWatch := context.WithCancel(dctx)
+	var watchWG sync.WaitGroup
+	watchWG.Add(1)
 	go func() {
-		defer renewWG.Done()
-		t := time.NewTicker(w.leaseTTL() / 3)
-		defer t.Stop()
+		defer watchWG.Done()
+		renew := time.NewTicker(w.leaseTTL() / 3)
+		defer renew.Stop()
+		poll := time.NewTicker(w.poll())
+		defer poll.Stop()
 		for {
 			select {
-			case <-renewCtx.Done():
+			case <-watchCtx.Done():
 				return
-			case <-t.C:
+			case <-renew.C:
 				if err := lease.Renew(w.leaseTTL()); err != nil {
 					lost.Store(true)
+					return
+				}
+			case <-poll.C:
+				if _, ok := w.Store.CancelRequested(rec.ID); ok {
+					marked.Store(true)
 					return
 				}
 			}
@@ -368,19 +362,16 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		Workers:   w.Workers,
 		Cache:     w.Cache,
 		Progress:  obs,
-		WarmStart: w.Slice <= 0 && w.Cache != nil,
+		RunJob:    w.runJob,
 		Snapshots: snaps,
-	}
-	if w.Slice > 0 {
-		engine.Pause = func() bool {
-			return sliceExpired.Load() || lost.Load() || dctx.Err() != nil
-		}
+		Pause: func() bool {
+			return sliceExpired.Load() || lost.Load() || canceled() || dctx.Err() != nil
+		},
 	}
 	results := engine.Run(dctx, pending)
-	stopRenew()
-	renewWG.Wait()
+	stopWatch()
+	watchWG.Wait()
 
-	deadlineHit := dctx.Err() != nil && ctx.Err() == nil
 	if ctx.Err() != nil {
 		// Worker shutdown: persist whatever checkpoints the engine took,
 		// release so another worker resumes without waiting out the TTL.
@@ -396,102 +387,70 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 		return
 	}
 
-	paused := w.persistSnapshots(rec.ID, idx, results)
-	if paused > 0 && !deadlineHit {
-		w.jobsPreempted.Add(1)
-		w.appendEvent(rec.ID, Event{Type: EventPreempted, Epoch: lease.Epoch,
-			Total: len(rec.Points), Remaining: paused})
-		w.logf("preempt %s: %d point(s) remaining", rec.ID, paused)
-		_ = lease.Release() // requeue: claimable immediately, by anyone
-		return
-	}
-
-	durable, err = w.Store.Rows(rec.ID, rec.Points)
-	if err != nil {
-		w.logf("rows re-read failed for %s: %v", rec.ID, err)
-		_ = lease.Release()
-		return
-	}
-	// Guard the row log's best-effort writes: rows finished this slice
-	// are merged from memory too, so a full disk degrades durability of
-	// intermediate progress, never the final row set.
+	// Rows finished this slice merge from memory, so a full disk degrades
+	// durability of intermediate progress, never the final row set.
+	// Unfinished points paused, or never started under a canceled context.
+	errs := obs.errors()
+	unfinished := 0
 	for k, r := range results {
-		if !r.Paused && r.Err == "" {
-			durable[idx[k]] = r
-		}
-	}
-	state, reason := StateDone, ""
-	if deadlineHit {
-		state, reason = StateCanceled, "job deadline exceeded"
-	}
-	w.finalize(rec, lease, durable, obs.errors(), state, reason)
-}
-
-// persistSnapshots stores checkpoints of paused points and reports how
-// many points remain unfinished.
-func (w *Worker) persistSnapshots(id string, idx []int, results []sweep.Result) (paused int) {
-	for k, r := range results {
-		if !r.Paused {
+		i := idx[k]
+		if _, failed := errs[i]; failed {
 			continue
 		}
-		paused++
-		if r.Snapshot != nil {
-			if err := w.Store.PutSnapshot(id, idx[k], r.Snapshot); err != nil {
-				// Best effort: a lost checkpoint re-simulates from the last
-				// durable one (or cold); progress slows, rows stay identical.
-				w.logf("snapshot write failed for %s point %d: %v", id, idx[k], err)
-			}
+		if r.Paused || r.Err != "" {
+			unfinished++
+			continue
 		}
+		durable[i] = r
 	}
-	return paused
+	switch {
+	case unfinished == 0:
+		w.finish(rec, lease, durable, errs, StateDone, "")
+	case canceled():
+		reason, _ := w.Store.CancelRequested(rec.ID)
+		w.finish(rec, lease, durable, errs, StateCanceled, reason)
+	case dctx.Err() != nil:
+		w.finish(rec, lease, durable, errs, StateCanceled, deadlineReason)
+	default:
+		w.persistSnapshots(rec.ID, idx, results)
+		w.jobsPreempted.Add(1)
+		w.Metrics.preempt()
+		w.appendEvent(rec.ID, StreamEvent{Type: EventPreempted, Epoch: lease.Epoch,
+			Total: len(rec.Points), Remaining: unfinished})
+		w.logf("preempt %s: %d point(s) remaining", rec.ID, unfinished)
+		_ = lease.Release() // requeue: claimable immediately, by anyone
+	}
 }
 
-// finalize publishes the canonical results, the terminal marker and the
-// summary event, then cleans up execution state. First finisher wins
-// the done marker; byte-identical determinism makes raced finalizers
-// equivalent.
-func (w *Worker) finalize(rec JobRecord, lease *Lease, durable, sliceErrs map[int]sweep.Result, state, reason string) {
-	full := assembleRows(rec.Points, durable, sliceErrs)
-	errors := 0
-	for _, r := range full {
-		if r.Err != "" {
-			errors++
+// deadlineReason is the failure note of a job whose absolute deadline
+// passed before it finished.
+const deadlineReason = "job timeout: deadline exceeded"
+
+// persistSnapshots stores checkpoints of paused points.
+func (w *Worker) persistSnapshots(id string, idx []int, results []sweep.Result) {
+	for k, r := range results {
+		if !r.Paused || r.Snapshot == nil {
+			continue
+		}
+		if err := w.Store.PutSnapshot(id, idx[k], r.Snapshot); err != nil {
+			// Best effort: a lost checkpoint re-simulates from the last
+			// durable one (or cold); progress slows, rows stay identical.
+			w.logf("snapshot write failed for %s point %d: %v", id, idx[k], err)
 		}
 	}
-	data, err := MarshalResults(full)
+}
+
+// finish assembles the final row set and publishes the terminal state.
+// First finisher wins the done marker; byte-identical determinism makes
+// raced finishers equivalent.
+func (w *Worker) finish(rec JobRecord, lease *Lease, durable, sliceErrs map[int]sweep.Result, state, reason string) {
+	d, err := w.Store.finish(rec, lease, assembleRows(rec.Points, durable, sliceErrs), state, reason)
 	if err != nil {
-		w.logf("encode results for %s: %v", rec.ID, err)
+		w.logf("finish %s: %v", rec.ID, err)
 		_ = lease.Release()
 		return
 	}
-	if err := w.Store.WriteResults(rec.ID, data); err != nil {
-		w.logf("write results for %s: %v", rec.ID, err)
-		_ = lease.Release()
-		return
-	}
-	if err := w.Store.MarkDone(rec.ID, DoneRecord{
-		State: state, Reason: reason, Errors: errors,
-		FinishedMS: time.Now().UnixMilli(),
-	}); err != nil {
-		w.logf("mark done for %s: %v", rec.ID, err)
-		_ = lease.Release()
-		return
-	}
-	w.appendEvent(rec.ID, Event{Type: EventSummary, Epoch: lease.Epoch,
-		Total: len(rec.Points), State: state, Err: reason, Errors: errors})
 	w.jobsFinished.Add(1)
-	w.Store.RemoveSnapshots(rec.ID)
-	w.Store.RemoveLeases(rec.ID)
-	w.logf("finish %s: %s (%d points, %d errors)", rec.ID, state, len(rec.Points), errors)
-}
-
-// firstLine truncates an error to its first line for feed events (full
-// stacks stay in the durable row set).
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+	w.Metrics.finished(d)
+	w.logf("finish %s: %s (%d points, %d errors)", rec.ID, state, len(rec.Points), d.Errors)
 }
