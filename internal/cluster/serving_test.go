@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"flov/internal/assert"
 	"flov/internal/fault"
 	"flov/internal/sweep"
 )
@@ -89,7 +90,7 @@ func getStatus(t *testing.T, base, id string) JobStatus {
 // waitDone polls the status endpoint until the job is terminal.
 func waitDone(t *testing.T, base, id string) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(simWait(30 * time.Second))
 	for time.Now().Before(deadline) {
 		st := getStatus(t, base, id)
 		if st.State == StateDone || st.State == StateCanceled {
@@ -99,6 +100,17 @@ func waitDone(t *testing.T, base, id string) JobStatus {
 	}
 	t.Fatal("job did not finish in time")
 	return JobStatus{}
+}
+
+// simWait scales a wait on simulation work by the build's simulation
+// cost. The flovdebug build runs the full invariant walk every simulated
+// cycle, which makes simulation about 4x slower than the same build
+// without it, so waits scale with the build instead of growing for all.
+func simWait(d time.Duration) time.Duration {
+	if assert.On {
+		return 4 * d
+	}
+	return d
 }
 
 // waitState polls the status endpoint for a state.

@@ -154,6 +154,10 @@ func FullSystem() Config {
 	return c
 }
 
+// MaxVCsTotal is the most VCs one input port may have: the router keeps
+// one 64-bit state mask per port, one bit per VC.
+const MaxVCsTotal = 64
+
 // VCsTotal returns the total number of VCs per input port
 // (regular + escape, across all vnets).
 func (c Config) VCsTotal() int { return c.VNets * (c.VCsPerVNet + c.EscapePerVNet) }
@@ -194,6 +198,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: need at least one escape VC per vnet, got %d", c.EscapePerVNet)
 	case c.VNets < 1:
 		return fmt.Errorf("config: need at least one vnet, got %d", c.VNets)
+	case c.VCsPerVNet > MaxVCsTotal || c.EscapePerVNet > MaxVCsTotal || c.VNets > MaxVCsTotal ||
+		c.VCsTotal() > MaxVCsTotal:
+		// Each factor is bounded first so the product cannot overflow.
+		return fmt.Errorf("config: at most %d VCs per port, got %d vnets x (%d regular + %d escape)",
+			MaxVCsTotal, c.VNets, c.VCsPerVNet, c.EscapePerVNet)
 	case c.LinkLatency < 1:
 		return fmt.Errorf("config: link latency must be >= 1 cycle, got %d", c.LinkLatency)
 	case c.PacketSize < 1:

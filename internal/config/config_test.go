@@ -76,6 +76,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"no regular VCs", func(c *Config) { c.VCsPerVNet = 0 }},
 		{"no escape VCs", func(c *Config) { c.EscapePerVNet = 0 }},
 		{"no vnets", func(c *Config) { c.VNets = 0 }},
+		{"overflowing VC product", func(c *Config) { c.VNets, c.VCsPerVNet = 1<<62, 1<<62 }},
 		{"zero link latency", func(c *Config) { c.LinkLatency = 0 }},
 		{"zero packet", func(c *Config) { c.PacketSize = 0 }},
 		{"packet exceeds buffer", func(c *Config) { c.PacketSize = 7 }},
@@ -135,5 +136,18 @@ func TestTableIRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestValidateBoundsVCsPerPort(t *testing.T) {
+	c := Default()
+	c.VNets = 16 // 16 x (3 regular + 1 escape) = 64, the limit
+	if err := c.Validate(); err != nil {
+		t.Fatalf("64 VCs per port rejected: %v", err)
+	}
+	c.VNets, c.VCsPerVNet = 13, 4 // 13 x (4 + 1) = 65
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "at most 64 VCs per port") {
+		t.Fatalf("65 VCs per port: got %v, want the 64-VC bound", err)
 	}
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"testing"
 
+	"flov/internal/noc"
 	"flov/internal/router"
 	"flov/internal/topology"
 )
@@ -209,11 +210,11 @@ func TestReRouteOnPowerChange(t *testing.T) {
 	ivc := r.InVC(topology.Local, 0)
 	ivc.OutDir = topology.East
 	ivc.RCCycle = 5
-	ivc.State = 2 // noc.VCWaitVC
+	r.SetVCState(topology.Local, 0, noc.VCWaitVC)
 	_ = p
 
 	w.onSleep(topology.East, Msg{Type: MsgSleep, From: 28, To: -1, LogID: 29, LogState: Active, Counts: []int{6, 6, 6, 6}})
-	if ivc.State != 1 { // noc.VCRouting
+	if ivc.State != noc.VCRouting {
 		t.Fatalf("pending route not invalidated on MsgSleep: state=%v", ivc.State)
 	}
 }

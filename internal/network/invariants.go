@@ -35,7 +35,9 @@ type LinkCreditSteady interface {
 //     ejection queues and mechanism latches;
 //   - per-VC credit conservation on every steady link: sender credits
 //     plus flits in flight plus receiver occupancy plus credits in
-//     flight equals the buffer depth.
+//     flight equals the buffer depth;
+//   - every router's per-state input-VC masks equal a recount from the
+//     VC states, and every Idle input VC is empty.
 //
 // Step runs it every cycle under the flovdebug build tag; it is
 // exported so tests can drive it in ordinary builds too.
@@ -43,6 +45,35 @@ func (n *Network) CheckInvariants() {
 	n.checkBounds()
 	n.checkFlitConservation()
 	n.checkCreditConservation()
+	n.checkVCMasks()
+}
+
+// checkVCMasks recounts each router's per-state input-VC masks from the
+// VC states and compares them with the masks the pipeline maintains.
+func (n *Network) checkVCMasks() {
+	vcs := n.Cfg.VCsTotal()
+	for id, r := range n.Routers {
+		for p := topology.Direction(0); p < topology.NumPorts; p++ {
+			var want [noc.VCActive + 1]uint64
+			for vc := 0; vc < vcs; vc++ {
+				ivc := r.InVC(p, vc)
+				st := ivc.State
+				if st > noc.VCActive {
+					assert.Failf("router %d port %s vc %d: invalid state %v at cycle %d", id, p, vc, st, n.now)
+				}
+				if st == noc.VCIdle && !ivc.Empty() {
+					assert.Failf("router %d port %s vc %d: idle VC holds %d flits at cycle %d", id, p, vc, ivc.Len(), n.now)
+				}
+				want[st] |= 1 << uint(vc)
+			}
+			for st, m := range want {
+				if got := r.StateMask(noc.VCState(st), p); got != m {
+					assert.Failf("router %d port %s: %v mask %#x, recount from VC states %#x at cycle %d",
+						id, p, noc.VCState(st), got, m, n.now)
+				}
+			}
+		}
+	}
 }
 
 // checkBounds verifies buffer occupancy and credit-counter ranges.

@@ -12,6 +12,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"flov/internal/config"
 	"flov/internal/noc"
@@ -117,6 +118,12 @@ type Router struct {
 	in  [topology.NumPorts][]*noc.InputVC
 	out [topology.NumPorts]*noc.OutputVCState
 
+	// mask[s][p] has bit v set iff in[p][v].State == s, so each stage
+	// visits only the VCs in its state instead of scanning every VC.
+	// setState and resetVC are the only writers of InputVC.State and keep
+	// it current; config.Validate caps VCsTotal at 64 to fit one word.
+	mask [numVCStates][topology.NumPorts]uint64 //flovsnap:skip derived from in[p][v].State, rebuilt by RestoreState
+
 	vaPtr [topology.NumPorts]int
 	saPtr [topology.NumPorts]int
 	inPtr [topology.NumPorts]int
@@ -137,6 +144,9 @@ type Router struct {
 func New(id int, cfg config.Config, mesh topology.Mesh, ledger *power.Ledger) *Router {
 	r := &Router{ID: id, Cfg: cfg, Mesh: mesh, Ledger: ledger}
 	vcs := cfg.VCsTotal()
+	if vcs > config.MaxVCsTotal {
+		panic(fmt.Sprintf("router %d: %d VCs per port exceed the %d-bit state masks", id, vcs, config.MaxVCsTotal))
+	}
 	r.vcScratch = make([]int, 0, vcs)
 	r.vaScratch = make([]saRequest, 0, int(topology.NumPorts)*vcs)
 	for p := 0; p < int(topology.NumPorts); p++ {
@@ -146,7 +156,48 @@ func New(id int, cfg config.Config, mesh topology.Mesh, ledger *power.Ledger) *R
 		}
 		r.out[p] = noc.NewOutputVCState(vcs, cfg.BufferDepth, true)
 	}
+	r.rebuildMasks()
 	return r
+}
+
+// numVCStates is the number of noc.VCState values (Idle..Active).
+const numVCStates = int(noc.VCActive) + 1
+
+// setState moves input VC ivc of port p to state st, keeping the
+// per-state masks current.
+func (r *Router) setState(p topology.Direction, ivc *noc.InputVC, st noc.VCState) {
+	bit := uint64(1) << uint(ivc.Index)
+	r.mask[ivc.State][p] &^= bit
+	r.mask[st][p] |= bit
+	ivc.State = st
+}
+
+// resetVC returns the (empty) input VC ivc of port p to Idle.
+func (r *Router) resetVC(p topology.Direction, ivc *noc.InputVC) {
+	r.setState(p, ivc, noc.VCIdle)
+	ivc.Reset()
+}
+
+// rebuildMasks recounts every per-state mask from the VC states.
+func (r *Router) rebuildMasks() {
+	r.mask = [numVCStates][topology.NumPorts]uint64{}
+	for p := range r.in {
+		for v, ivc := range r.in[p] {
+			r.mask[ivc.State][p] |= 1 << uint(v)
+		}
+	}
+}
+
+// StateMask returns the bitmask of port d's input VCs in state st (bit v
+// set iff InVC(d, v).State == st). Invariant checks compare it against a
+// recount.
+func (r *Router) StateMask(st noc.VCState, d topology.Direction) uint64 { return r.mask[st][d] }
+
+// SetVCState forces input VC (d, vc) into state st. It is a test hook for
+// staging pipeline situations; simulation code never calls it, since the
+// pipeline stages own VC state.
+func (r *Router) SetVCState(d topology.Direction, vc int, st noc.VCState) {
+	r.setState(d, r.in[d][vc], st)
 }
 
 // Out returns the output credit state for a port (used by power-gating
@@ -221,7 +272,7 @@ func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
 		if !f.Type.IsHead() {
 			panic(fmt.Sprintf("router %d: non-head flit %s into idle VC %d on port %s", r.ID, f, f.VC, p))
 		}
-		ivc.State = noc.VCRouting
+		r.setState(p, ivc, noc.VCRouting)
 		ivc.WaitSince = now
 	}
 	ivc.Push(f, now)
@@ -231,10 +282,10 @@ func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
 // stageRC computes routes for head flits at the front of VCs in RC state.
 func (r *Router) stageRC(now int64) {
 	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State != noc.VCRouting {
-				continue
-			}
+		// Visiting a VC changes only that VC's state, so the mask read
+		// once per port yields the same VCs, in the same order, as a scan.
+		for m := r.mask[noc.VCRouting][p]; m != 0; m &= m - 1 {
+			ivc := r.in[p][bits.TrailingZeros64(m)]
 			f := ivc.Front()
 			if f == nil {
 				continue
@@ -265,7 +316,7 @@ func (r *Router) stageRC(now int64) {
 				// Wait for a power-state change or the escape timeout.
 			default:
 				ivc.OutDir = dec.Dir
-				ivc.State = noc.VCWaitVC
+				r.setState(topology.Direction(p), ivc, noc.VCWaitVC)
 				ivc.RCCycle = now
 			}
 		}
@@ -292,17 +343,26 @@ func (r *Router) candidateVCs(pkt *noc.Packet, outDir topology.Direction) []int 
 // stageVA allocates downstream VCs to packets that completed RC at least
 // one cycle ago (separable, per-output round-robin across input VCs).
 func (r *Router) stageVA(now int64) {
+	var waiting uint64
+	for _, m := range r.mask[noc.VCWaitVC] {
+		waiting |= m
+	}
+	if waiting == 0 {
+		return // no requester on any output
+	}
 	for out := 0; out < int(topology.NumPorts); out++ {
 		outDir := topology.Direction(out)
 		if !r.Ports[out].Connected() {
 			continue
 		}
-		// Gather requesters for this output (reused scratch: gathering
-		// afresh per output allocates nothing in steady state).
+		// Gather requesters for this output from the live WaitVC masks
+		// (reused scratch: gathering afresh per output allocates nothing
+		// in steady state).
 		r.vaScratch = r.vaScratch[:0]
 		for p := 0; p < int(topology.NumPorts); p++ {
-			for _, ivc := range r.in[p] {
-				if ivc.State == noc.VCWaitVC && ivc.OutDir == outDir && ivc.RCCycle < now {
+			for m := r.mask[noc.VCWaitVC][p]; m != 0; m &= m - 1 {
+				ivc := r.in[p][bits.TrailingZeros64(m)]
+				if ivc.OutDir == outDir && ivc.RCCycle < now {
 					r.vaScratch = append(r.vaScratch, saRequest{port: p, ivc: ivc})
 				}
 			}
@@ -316,7 +376,7 @@ func (r *Router) stageVA(now int64) {
 			// return requesters to RC so they can adapt to the new
 			// power states next cycle.
 			for _, q := range reqs {
-				q.ivc.State = noc.VCRouting
+				r.setState(topology.Direction(q.port), q.ivc, noc.VCRouting)
 			}
 			continue
 		}
@@ -339,7 +399,7 @@ func (r *Router) stageVA(now int64) {
 			}
 			r.out[out].Allocated[granted] = true
 			q.ivc.OutVC = granted
-			q.ivc.State = noc.VCActive
+			r.setState(topology.Direction(q.port), q.ivc, noc.VCActive)
 			q.ivc.VACycle = now
 			q.ivc.WaitSince = now
 			r.Ledger.AddDyn(power.CatArbitration, 1)
@@ -368,7 +428,7 @@ func (r *Router) stageVA(now int64) {
 				}
 				if !f.Pkt.Escape && waited > int64(r.Cfg.EscapeTimeout) {
 					f.Pkt.Escape = true
-					ivc.State = noc.VCRouting
+					r.setState(topology.Direction(q.port), ivc, noc.VCRouting)
 				}
 			}
 		}
@@ -393,13 +453,30 @@ func (r *Router) stageSA(now int64) {
 
 	// Input-first: each input port nominates one ready VC (round-robin).
 	var bids [topology.NumPorts]*noc.InputVC
+	var cands [topology.NumPorts]int // bids per output port
 	for p := 0; p < int(topology.NumPorts); p++ {
+		// The pointer advances every cycle, whether or not p bids.
+		ptr := r.inPtr[p]
+		r.inPtr[p]++
+		active := r.mask[noc.VCActive][p]
+		if active == 0 {
+			continue
+		}
+		// Visit the active VCs round-robin from start: bits >= start in
+		// ascending order, then bits below it. Visiting a VC changes only
+		// that VC's state, so reading the mask once matches a full scan.
 		vcs := r.in[p]
-		n := len(vcs)
-		start := r.inPtr[p] % n
-		for i := 0; i < n; i++ {
-			ivc := vcs[(start+i)%n]
-			if ivc.State != noc.VCActive || ivc.Empty() {
+		start := uint(ptr % len(vcs))
+		below := active & (uint64(1)<<start - 1)
+		for m := active &^ below; ; m &= m - 1 {
+			if m == 0 {
+				if below == 0 {
+					break
+				}
+				m, below = below, 0
+			}
+			ivc := vcs[bits.TrailingZeros64(m)]
+			if ivc.Empty() {
 				continue
 			}
 			if ivc.FrontArrived()+pipeGate > now {
@@ -410,34 +487,30 @@ func (r *Router) stageSA(now int64) {
 				// may re-route (escape packets included, so they can take
 				// an alternate legal turn); partially sent packets wait
 				// for the fault to heal.
-				r.releaseBlocked(ivc, now)
+				r.releaseBlocked(topology.Direction(p), ivc, now)
 				continue
 			}
 			od := int(ivc.OutDir)
 			if r.out[od].Credits[ivc.OutVC] <= 0 {
-				r.maybeEscapeStarved(ivc, now)
+				r.maybeEscapeStarved(topology.Direction(p), ivc, now)
 				continue
 			}
 			bids[p] = ivc
+			cands[od]++
 			break
 		}
-		r.inPtr[p]++
 	}
 
-	// Output-side arbitration: one winner per output port. Counting then
-	// re-walking the (six-entry) bid array keeps this allocation-free.
+	// Output-side arbitration: one winner per output port. Traversal
+	// only clears the winner's own bid, so the per-output counts stay
+	// valid for later outputs; re-walking the bid array keeps this
+	// allocation-free.
 	for out := 0; out < int(topology.NumPorts); out++ {
-		outDir := topology.Direction(out)
-		cands := 0
-		for p := range bids {
-			if bids[p] != nil && bids[p].OutDir == outDir {
-				cands++
-			}
-		}
-		if cands == 0 {
+		if cands[out] == 0 {
 			continue
 		}
-		pick := r.saPtr[out] % cands
+		outDir := topology.Direction(out)
+		pick := r.saPtr[out] % cands[out]
 		r.saPtr[out]++
 		for p := range bids {
 			if bids[p] == nil || bids[p].OutDir != outDir {
@@ -458,7 +531,7 @@ func (r *Router) stageSA(now int64) {
 // maybeEscapeStarved applies deadlock recovery to a packet that holds a
 // downstream VC but has sent nothing and been starved of credits past the
 // timeout: release the (untouched) allocation and re-route via escape.
-func (r *Router) maybeEscapeStarved(ivc *noc.InputVC, now int64) {
+func (r *Router) maybeEscapeStarved(p topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Front()
 	if f == nil || !f.Type.IsHead() {
 		return // mid-packet: downstream will drain via its own recovery
@@ -469,7 +542,7 @@ func (r *Router) maybeEscapeStarved(ivc *noc.InputVC, now int64) {
 	r.out[ivc.OutDir].Allocated[ivc.OutVC] = false
 	ivc.OutVC = -1
 	f.Pkt.Escape = true
-	ivc.State = noc.VCRouting
+	r.setState(p, ivc, noc.VCRouting)
 }
 
 // releaseBlocked undoes an untouched VC allocation toward a failed link
@@ -477,7 +550,7 @@ func (r *Router) maybeEscapeStarved(ivc *noc.InputVC, now int64) {
 // escape mode so it can pick a surviving path. Unlike maybeEscapeStarved
 // it also releases packets already in escape mode — their deterministic
 // escape route died under them and must be recomputed.
-func (r *Router) releaseBlocked(ivc *noc.InputVC, now int64) {
+func (r *Router) releaseBlocked(p topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Front()
 	if f == nil || !f.Type.IsHead() {
 		return // mid-packet: must wait for the link to heal
@@ -488,7 +561,7 @@ func (r *Router) releaseBlocked(ivc *noc.InputVC, now int64) {
 	r.out[ivc.OutDir].Allocated[ivc.OutVC] = false
 	ivc.OutVC = -1
 	f.Pkt.Escape = true
-	ivc.State = noc.VCRouting
+	r.setState(p, ivc, noc.VCRouting)
 }
 
 // dropFront discards the packet at the front of ivc as a classified loss:
@@ -528,14 +601,14 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 		}
 	}
 	if ivc.Empty() {
-		ivc.Reset()
+		r.resetVC(port, ivc)
 	} else {
 		nf := ivc.Front()
 		if !nf.Type.IsHead() {
 			panic(fmt.Sprintf("router %d: flit %s behind dropped tail is not a head", r.ID, nf))
 		}
 		ivc.OutVC = -1
-		ivc.State = noc.VCRouting
+		r.setState(port, ivc, noc.VCRouting)
 		ivc.WaitSince = now
 	}
 	if r.OnDrop != nil {
@@ -582,14 +655,14 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 	if f.Type.IsTail() {
 		r.out[outDir].Allocated[ivc.OutVC] = false
 		if ivc.Empty() {
-			ivc.Reset()
+			r.resetVC(topology.Direction(port), ivc)
 		} else {
 			nf := ivc.Front()
 			if !nf.Type.IsHead() {
 				panic(fmt.Sprintf("router %d: flit %s behind tail is not a head", r.ID, nf))
 			}
 			ivc.OutVC = -1
-			ivc.State = noc.VCRouting
+			r.setState(topology.Direction(port), ivc, noc.VCRouting)
 			ivc.WaitSince = now
 		}
 	}
@@ -603,10 +676,10 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 // commit. Committed packets (VCActive) are unaffected — the handshake
 // protocol waits for them by design.
 func (r *Router) ReRoute(d topology.Direction) {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State == noc.VCWaitVC && ivc.OutDir == d {
-				ivc.State = noc.VCRouting
+	for p := topology.Direction(0); p < topology.NumPorts; p++ {
+		for m := r.mask[noc.VCWaitVC][p]; m != 0; m &= m - 1 {
+			if ivc := r.in[p][bits.TrailingZeros64(m)]; ivc.OutDir == d {
+				r.setState(p, ivc, noc.VCRouting)
 			}
 		}
 	}
@@ -617,8 +690,8 @@ func (r *Router) ReRoute(d topology.Direction) {
 // out before answering a drain/wakeup handshake with drain_done.
 func (r *Router) CommittedTo(d topology.Direction) bool {
 	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State == noc.VCActive && ivc.OutDir == d {
+		for m := r.mask[noc.VCActive][p]; m != 0; m &= m - 1 {
+			if r.in[p][bits.TrailingZeros64(m)].OutDir == d {
 				return true
 			}
 		}
@@ -628,14 +701,21 @@ func (r *Router) CommittedTo(d topology.Direction) bool {
 
 // BuffersEmpty reports whether every input VC buffer is empty.
 func (r *Router) BuffersEmpty() bool {
-	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if !ivc.Empty() {
+	for p := topology.Direction(0); p < topology.NumPorts; p++ {
+		for m := r.busy(p); m != 0; m &= m - 1 {
+			if !r.in[p][bits.TrailingZeros64(m)].Empty() {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// busy returns the mask of port p's non-Idle input VCs. Idle VCs are
+// always empty (a flit into an Idle VC moves it to VCRouting, and only
+// an empty VC is reset), so only busy VCs can hold flits.
+func (r *Router) busy(p topology.Direction) uint64 {
+	return r.mask[noc.VCRouting][p] | r.mask[noc.VCWaitVC][p] | r.mask[noc.VCActive][p]
 }
 
 // ArrivalsPending reports whether any flit is still queued on an input
@@ -652,14 +732,14 @@ func (r *Router) ArrivalsPending() bool {
 // LocalActivity reports whether the router currently holds any flit that
 // came from or is going to its local port (used for idle detection).
 func (r *Router) LocalActivity() bool {
-	for _, ivc := range r.in[topology.Local] {
-		if !ivc.Empty() {
+	for m := r.busy(topology.Local); m != 0; m &= m - 1 {
+		if !r.in[topology.Local][bits.TrailingZeros64(m)].Empty() {
 			return true
 		}
 	}
 	for p := 0; p < int(topology.NumPorts); p++ {
-		for _, ivc := range r.in[p] {
-			if ivc.State != noc.VCIdle && ivc.State != noc.VCRouting && ivc.OutDir == topology.Local && !ivc.Empty() {
+		for m := r.mask[noc.VCWaitVC][p] | r.mask[noc.VCActive][p]; m != 0; m &= m - 1 {
+			if ivc := r.in[p][bits.TrailingZeros64(m)]; ivc.OutDir == topology.Local && !ivc.Empty() {
 				return true
 			}
 		}

@@ -13,11 +13,11 @@ func TestReRouteReturnsPendingToRC(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
 	ivc := h.r.InVC(topology.Local, 0)
-	ivc.State = noc.VCWaitVC
+	h.r.SetVCState(topology.Local, 0, noc.VCWaitVC)
 	ivc.OutDir = topology.East
 	// A packet toward another direction is untouched.
 	other := h.r.InVC(topology.Local, 1)
-	other.State = noc.VCWaitVC
+	h.r.SetVCState(topology.Local, 1, noc.VCWaitVC)
 	other.OutDir = topology.North
 
 	h.r.ReRoute(topology.East)
@@ -33,13 +33,13 @@ func TestReRouteLeavesCommittedPackets(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
 	ivc := h.r.InVC(topology.Local, 0)
-	ivc.State = noc.VCActive
+	h.r.SetVCState(topology.Local, 0, noc.VCActive)
 	ivc.OutDir = topology.East
 	h.r.ReRoute(topology.East)
 	if ivc.State != noc.VCActive {
 		t.Fatal("committed packet was re-routed (handshake relies on it finishing)")
 	}
-	ivc.State = noc.VCIdle // restore for other checks
+	h.r.SetVCState(topology.Local, 0, noc.VCIdle) // restore for other checks
 }
 
 func TestArrivalsPendingAndLocalActivity(t *testing.T) {

@@ -66,6 +66,7 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 		r.saPtr[p] = s.SAPtr[p]
 		r.inPtr[p] = s.InPtr[p]
 	}
+	r.rebuildMasks()
 	r.Traversals = s.Traversals
 	return nil
 }
