@@ -12,6 +12,7 @@ package flov_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"flov"
@@ -227,9 +228,9 @@ func benchSweepJobs(b *testing.B) []flov.SweepJob {
 }
 
 // BenchmarkStep measures the bare cycle kernel: one warmed-up gFLOV
-// network, one Step call per iteration, nothing else. allocs/op here is
-// the number the hotalloc analyzer polices statically and the committed
-// BENCH_sweep.json baseline gates in CI.
+// network under steady traffic, one Step call per iteration, nothing
+// else. allocs/op here is the number the hotalloc analyzer polices
+// statically and the committed BENCH_sweep.json baseline gates in CI.
 func BenchmarkStep(b *testing.B) {
 	cfg := flov.Default()
 	mesh, err := topology.NewMesh(cfg.Width, cfg.Height)
@@ -242,6 +243,9 @@ func BenchmarkStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Generation would stop at cfg.TotalCycles; a long run (b.N near or
+	// past it) would then time a draining, and finally empty, mesh.
+	n.StopGeneration(math.MaxInt64)
 	for i := 0; i < 2_000; i++ { // reach steady state: queues and scratch warm
 		n.Step()
 	}

@@ -12,10 +12,14 @@
 //
 // -check exits 1 on any regression, and also on a baselined benchmark
 // missing from the input (a silently shrinking run is not a passing
-// run). -update rewrites the baseline from the input instead.
+// run). -update rewrites the baseline from the input instead, recording
+// the machine (CPU model from the bench header, nproc, Go version,
+// GOOS/GOARCH); -check prints the baseline's machine and this one's at
+// the top of its report.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -53,10 +57,15 @@ func main() {
 		defer func() { _ = f.Close() }() // read-only input
 		src = f
 	}
-	current, err := benchgate.ParseBench(src)
+	input, err := io.ReadAll(src)
 	if err != nil {
 		fatal(err)
 	}
+	current, err := benchgate.ParseBench(bytes.NewReader(input))
+	if err != nil {
+		fatal(err)
+	}
+	machine := benchgate.CurrentMachine(input)
 	if len(current) == 0 {
 		fatal(fmt.Errorf("no benchmark results in input (did the bench run fail?)"))
 	}
@@ -75,7 +84,7 @@ func main() {
 	}
 
 	if *update {
-		b := &benchgate.Baseline{Note: *note, Benchmarks: current}
+		b := &benchgate.Baseline{Note: *note, Machine: &machine, Benchmarks: current}
 		if err := benchgate.Write(bpath, b); err != nil {
 			fatal(err)
 		}
@@ -90,7 +99,7 @@ func main() {
 	lim := benchgate.Limits{NsRatio: *nsRatio, AllocsRatio: *allocsRatio, AllocsSlack: *allocsSlack}
 	deltas, missing := benchgate.Compare(baseline, current, lim)
 
-	report := benchgate.Report(deltas, missing)
+	report := benchgate.Header(baseline.Machine, machine) + benchgate.Report(deltas, missing)
 	fmt.Print(report)
 	if *reportPath != "" {
 		if err := os.WriteFile(*reportPath, []byte(report), 0o644); err != nil {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,10 +35,69 @@ type Result struct {
 
 // Baseline is the committed reference point.
 type Baseline struct {
-	// Note documents how the numbers were produced (machine, command),
+	// Note documents how the numbers were produced (command, context),
 	// for whoever re-records them.
-	Note       string            `json:"note,omitempty"`
+	Note string `json:"note,omitempty"`
+	// Machine is the host the numbers were recorded on; nil in
+	// baselines recorded before it existed.
+	Machine    *Machine          `json:"machine,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// Machine identifies a benchmark host, so a reader can tell a
+// cross-machine comparison from a regression.
+type Machine struct {
+	CPU       string `json:"cpu"`
+	NProc     int    `json:"nproc"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+}
+
+// String renders the machine on one line.
+func (m Machine) String() string {
+	return fmt.Sprintf("%s, nproc %d, %s %s/%s", m.CPU, m.NProc, m.GoVersion, m.GOOS, m.GOARCH)
+}
+
+// CurrentMachine describes the host running this process. The CPU model
+// (and GOOS/GOARCH) come from the header `go test -bench` prints into
+// benchOutput when present; nproc and the Go version come from the
+// runtime, which is the toolchain that built the benchmarks when both
+// run from one checkout.
+func CurrentMachine(benchOutput []byte) Machine {
+	m := Machine{
+		CPU:       "unknown",
+		NProc:     runtime.NumCPU(),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+	}
+	for _, line := range strings.Split(string(benchOutput), "\n") {
+		key, val, ok := strings.Cut(strings.TrimSpace(line), ":")
+		if !ok {
+			continue
+		}
+		val = strings.TrimSpace(val)
+		switch key {
+		case "cpu":
+			m.CPU = val
+		case "goos":
+			m.GOOS = val
+		case "goarch":
+			m.GOARCH = val
+		}
+	}
+	return m
+}
+
+// Header renders the machine lines that open a check report: where the
+// baseline was recorded and where this run happened.
+func Header(base *Machine, current Machine) string {
+	rec := "unrecorded"
+	if base != nil {
+		rec = base.String()
+	}
+	return fmt.Sprintf("baseline machine: %s\nthis machine:     %s\n", rec, current)
 }
 
 // Limits is the allowed headroom over the baseline.

@@ -135,6 +135,8 @@ func TestBaselineRoundTripAndReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
 	want := base()
 	want.Note = "recorded on CI runner X"
+	m := CurrentMachine([]byte(sampleOutput))
+	want.Machine = &m
 	if err := Write(path, want); err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +146,19 @@ func TestBaselineRoundTripAndReport(t *testing.T) {
 	}
 	if got.Note != want.Note || len(got.Benchmarks) != 2 {
 		t.Fatalf("round trip mangled baseline: %+v", got)
+	}
+	if got.Machine == nil || *got.Machine != m {
+		t.Fatalf("machine mangled: %+v, want %+v", got.Machine, m)
+	}
+	if m.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || m.GOOS != "linux" || m.GOARCH != "amd64" ||
+		m.NProc < 1 || !strings.HasPrefix(m.GoVersion, "go") {
+		t.Errorf("machine header parsed wrong: %+v", m)
+	}
+	if h := Header(got.Machine, m); !strings.Contains(h, "baseline machine: Intel(R) Xeon(R) Processor @ 2.10GHz, nproc ") {
+		t.Errorf("header lacks the baseline machine:\n%s", h)
+	}
+	if h := Header(nil, m); !strings.Contains(h, "baseline machine: unrecorded") {
+		t.Errorf("header of a pre-metadata baseline:\n%s", h)
 	}
 	if got.Benchmarks["BenchmarkStep"] != want.Benchmarks["BenchmarkStep"] {
 		t.Errorf("result mangled: %+v", got.Benchmarks["BenchmarkStep"])

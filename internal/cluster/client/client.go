@@ -271,9 +271,20 @@ func (c *Client) Run(ctx context.Context, spec sweep.Spec, onEvent func(cluster.
 		}
 		switch ev.Type {
 		case cluster.EventAccepted:
+			if results != nil {
+				return nil, sweep.Stats{}, fmt.Errorf("client: malformed stream: second %q event", ev.Type)
+			}
 			results = make([]sweep.Result, ev.Total)
 		case cluster.EventPoint:
-			if ev.Result != nil && ev.Index < len(results) {
+			// A row the stream cannot place is an error, never a silently
+			// zeroed or dropped row.
+			if results == nil {
+				return nil, sweep.Stats{}, fmt.Errorf("client: malformed stream: point %d before %q", ev.Index, cluster.EventAccepted)
+			}
+			if ev.Index < 0 || ev.Index >= len(results) {
+				return nil, sweep.Stats{}, fmt.Errorf("client: malformed stream: point index %d outside [0, %d)", ev.Index, len(results))
+			}
+			if ev.Result != nil {
 				r := *ev.Result
 				r.CacheHit = ev.Status == cluster.PointCached
 				r.Wall = time.Duration(ev.WallMS * float64(time.Millisecond))

@@ -310,3 +310,49 @@ func TestNoRetryOnClientError(t *testing.T) {
 		t.Fatalf("client retried a 400 (%d requests)", got)
 	}
 }
+
+// TestRunRejectsMalformedStream: a stream whose rows cannot be placed —
+// a point before "accepted", an index out of range, a second
+// "accepted" — fails Run loudly instead of returning zeroed or dropped
+// rows. The well-formed body is the control.
+func TestRunRejectsMalformedStream(t *testing.T) {
+	const (
+		accepted = `{"type":"accepted","id":"j1","total":2,"state":"queued"}`
+		point0   = `{"type":"point","index":0,"total":2,"status":"done","id":"j1","result":{"err":"p0"}}`
+		point1   = `{"type":"point","index":1,"total":2,"status":"done","id":"j1","result":{"err":"p1"}}`
+		summary  = `{"type":"summary","id":"j1","total":2,"state":"done","stats":{}}`
+	)
+	cases := []struct {
+		name    string
+		lines   []string
+		wantErr string // "" = well-formed
+	}{
+		{"well-formed", []string{accepted, point1, point0, summary}, ""},
+		{"point before accepted", []string{point0, accepted, point1, summary}, "before"},
+		{"index past total", []string{accepted, point0, point1,
+			`{"type":"point","index":2,"total":2,"status":"done","id":"j1","result":{}}`, summary}, "outside"},
+		{"negative index", []string{accepted,
+			`{"type":"point","index":-1,"total":2,"status":"done","id":"j1","result":{}}`, summary}, "outside"},
+		{"second accepted", []string{accepted, point0, accepted, point1, summary}, "second"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := strings.Join(tc.lines, "\n") + "\n"
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				_, _ = w.Write([]byte(body))
+			}))
+			defer srv.Close()
+			rows, _, err := client.New(srv.URL).Run(context.Background(), testSpec(0.01), nil)
+			if tc.wantErr == "" {
+				if err != nil || len(rows) != 2 || rows[0].Err != "p0" || rows[1].Err != "p1" {
+					t.Fatalf("well-formed stream: rows=%+v err=%v", rows, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want one mentioning %q (rows %+v)", err, tc.wantErr, rows)
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -12,25 +11,17 @@ import (
 )
 
 // Cache federation. Every node's content-addressed cache speaks a tiny
-// read-only HTTP protocol over the existing keys: result entries by job
-// hash, warm-start/checkpoint blobs by blob key. A node that misses
-// locally asks its peers before simulating, then writes the fetched
-// entry into its own cache, so a row or warm blob computed once is a
-// hit everywhere. Keys are content hashes, so federation needs no
+// read-only HTTP protocol over result entries, keyed by job hash. A
+// node that misses locally asks its peers before simulating, then
+// writes the fetched entry into its own cache, so a row computed once
+// is a hit everywhere. Keys are content hashes, so federation needs no
 // invalidation protocol — an entry is either valid for its key or
 // rejected by the same three-layer hardening local reads get
-// (sweep.DecodeEntry); blobs are CRC-guarded by the snapshot container
-// and additionally magic-checked before adoption.
+// (sweep.DecodeEntry).
 
 // maxFederatedEntry bounds a fetched peer response; entries are a few
-// KiB, blobs tens of KiB, so 64 MiB is generous and still DoS-safe.
+// KiB, so 64 MiB is generous and still DoS-safe.
 const maxFederatedEntry = 64 << 20
-
-// snapshotMagic mirrors the snapshot container's leading magic; a
-// remote blob that does not even start with it is rejected before it
-// can pollute the local cache (the CRC check at restore time is the
-// real integrity gate; this just refuses obvious garbage cheaply).
-var snapshotMagic = []byte("FLOVSNAP")
 
 // validKey reports whether key is a plausible content hash — lowercase
 // hex, at least one byte of prefix directory. Anything else (path
@@ -50,7 +41,6 @@ func validKey(key string) bool {
 // CacheHandler serves a node's cache to its peers:
 //
 //	GET /v1/cache/entry/{hash}  raw result-cache entry bytes
-//	GET /v1/cache/blob/{key}    raw blob bytes (warm snapshots)
 //	GET /healthz                liveness
 //
 // Read-only by construction: peers validate and write into their own
@@ -70,20 +60,6 @@ func CacheHandler(c *sweep.Cache) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		// Committed response: a failed write means the peer went away.
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("GET /v1/cache/blob/{key}", func(w http.ResponseWriter, r *http.Request) {
-		key := r.PathValue("key")
-		if !validKey(key) {
-			http.Error(w, "bad key", http.StatusBadRequest)
-			return
-		}
-		data, ok := c.GetBlob(key)
-		if !ok {
-			http.Error(w, "miss", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(data)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -173,54 +149,20 @@ func (p *Peers) FetchResult(j sweep.Job) (sweep.Result, bool) {
 	return sweep.Result{}, false
 }
 
-// FetchBlob asks the peers for a cache blob (a warm-start snapshot).
-// Blobs are rejected unless they carry the snapshot container magic;
-// the CRC-guarded restore remains the hard integrity gate, and a blob
-// that fails it later is removed by the existing corrupt-blob healing.
-func (p *Peers) FetchBlob(key string) ([]byte, bool) {
-	if p.Len() == 0 {
-		return nil, false
-	}
-	for _, base := range p.bases {
-		data, ok := p.get(base + "/v1/cache/blob/" + key)
-		if !ok {
-			continue
-		}
-		if !bytes.HasPrefix(data, snapshotMagic) {
-			p.rejected.Add(1)
-			continue
-		}
-		p.hits.Add(1)
-		return data, true
-	}
-	p.misses.Add(1)
-	return nil, false
-}
-
-// Warm pulls a job's cached result (and, for warm-started synthetic
-// points, its warm blob) from peers into the local cache when absent,
-// so the engine's subsequent lookups hit locally. Best-effort: any
-// failure simply leaves the point to simulate.
-func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job, warmStart bool) (adopted int) {
+// Warm pulls jobs' cached results from peers into the local cache when
+// absent, so the engine's subsequent lookups hit locally. Best-effort:
+// any failure simply leaves the point to simulate.
+func (p *Peers) Warm(c *sweep.Cache, jobs []sweep.Job) (adopted int) {
 	if p.Len() == 0 || c == nil {
 		return 0
 	}
 	for _, j := range jobs {
-		if _, ok := c.ReadEntry(j.Hash()); !ok {
-			if r, ok := p.FetchResult(j); ok {
-				if err := c.Put(r); err == nil {
-					adopted++
-				}
-			}
+		if _, ok := c.ReadEntry(j.Hash()); ok {
+			continue
 		}
-		if warmStart && j.Kind == sweep.Synthetic && j.Config.WarmupCycles > 0 {
-			key := j.WarmKey()
-			if _, ok := c.GetBlob(key); !ok {
-				if blob, ok := p.FetchBlob(key); ok {
-					if err := c.PutBlob(key, blob); err == nil {
-						adopted++
-					}
-				}
+		if r, ok := p.FetchResult(j); ok {
+			if err := c.Put(r); err == nil {
+				adopted++
 			}
 		}
 	}

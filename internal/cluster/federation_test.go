@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -30,7 +29,7 @@ func TestFederationEntryFetch(t *testing.T) {
 	peers := NewPeers([]string{srv.URL})
 
 	local := newCache(t)
-	if n := peers.Warm(local, points, false); n != len(points) {
+	if n := peers.Warm(local, points); n != len(points) {
 		t.Fatalf("Warm adopted %d entries, want %d", n, len(points))
 	}
 	hits, misses, rejected := peers.Counters()
@@ -49,7 +48,7 @@ func TestFederationEntryFetch(t *testing.T) {
 		}
 	}
 	// Re-warming is a no-op: everything already local.
-	if n := peers.Warm(local, points, false); n != 0 {
+	if n := peers.Warm(local, points); n != 0 {
 		t.Fatalf("second Warm adopted %d, want 0", n)
 	}
 }
@@ -81,36 +80,8 @@ func TestFederationRejectsCorruptEntry(t *testing.T) {
 		t.Fatalf("rejected=%d misses=%d, want 1/1", rejected, misses)
 	}
 	local := newCache(t)
-	if n := peers.Warm(local, points, false); n != 0 {
+	if n := peers.Warm(local, points); n != 0 {
 		t.Fatalf("Warm adopted %d corrupt entries", n)
-	}
-}
-
-func TestFederationBlobFetch(t *testing.T) {
-	remote := newCache(t)
-	key := "ab12cd34"
-	blob := append([]byte("FLOVSNAP"), []byte("checkpoint-payload")...)
-	if err := remote.PutBlob(key, blob); err != nil {
-		t.Fatal(err)
-	}
-	// A garbage blob without the container magic.
-	if err := remote.PutBlob("ff00ff00", []byte("not a snapshot")); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(CacheHandler(remote))
-	defer srv.Close()
-	peers := NewPeers([]string{srv.URL})
-
-	got, ok := peers.FetchBlob(key)
-	if !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("blob fetch: ok=%v len=%d", ok, len(got))
-	}
-	if _, ok := peers.FetchBlob("ff00ff00"); ok {
-		t.Fatal("magic-less blob accepted")
-	}
-	if _, ok := peers.FetchBlob("0123456789abcdef"); ok {
-		t.Fatal("missing blob reported as hit")
 	}
 }
 
@@ -150,7 +121,7 @@ func TestFederationDeadPeer(t *testing.T) {
 	if _, ok := peers.FetchResult(points[0]); ok {
 		t.Fatal("dead peer produced a hit")
 	}
-	if n := peers.Warm(newCache(t), points, true); n != 0 {
+	if n := peers.Warm(newCache(t), points); n != 0 {
 		t.Fatalf("Warm over dead peer adopted %d", n)
 	}
 }

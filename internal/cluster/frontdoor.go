@@ -408,11 +408,7 @@ func (f *FrontDoor) resolve(points []sweep.Job, ten string, now time.Time, deadl
 	if err != nil {
 		return admission{}, err
 	}
-	if created {
-		if err := s.appendEvent(stored.ID, StreamEvent{Type: EventAccepted,
-			Total: len(points), State: StateQueued}); err != nil {
-			f.Logf("event append failed for %s: %v", stored.ID, err)
-		}
+	if created { // Submit wrote the feed's "accepted" line
 		f.metrics.jobsAccepted.Add(1)
 		f.Logf("accepted %s from %s (%d points)", stored.ID, ten, len(points))
 	} else {

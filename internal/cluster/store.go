@@ -269,6 +269,12 @@ func (s *Store) appendLine(path string, line []byte) error {
 // content-addressed id: a record already present is returned as-is with
 // created=false, so concurrent identical submissions coincide instead
 // of racing.
+//
+// The job's feed is published first, holding its one "accepted" line,
+// with the same exclusive link as the record: a worker can only find a
+// job through its record, so every line a worker appends lands after
+// line 0. A submitter that loses the feed link appends nothing, so
+// "accepted" is written exactly once however many submitters race.
 func (s *Store) Submit(rec JobRecord) (JobRecord, bool, error) {
 	if rec.SpecHash == "" {
 		rec.SpecHash = SpecHash(rec.Points)
@@ -279,6 +285,13 @@ func (s *Store) Submit(rec JobRecord) (JobRecord, bool, error) {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return JobRecord{}, false, fmt.Errorf("cluster: encode job: %w", err)
+	}
+	accepted, err := json.Marshal(StreamEvent{Type: EventAccepted, ID: rec.ID, Total: len(rec.Points), State: StateQueued})
+	if err != nil {
+		return JobRecord{}, false, fmt.Errorf("cluster: encode accepted event: %w", err)
+	}
+	if _, err := publish(s.eventsPath(rec.ID), append(accepted, '\n')); err != nil {
+		return JobRecord{}, false, fmt.Errorf("cluster: publish feed: %w", err)
 	}
 	won, err := publish(s.jobPath(rec.ID), data)
 	if err != nil {
@@ -706,11 +719,13 @@ func (s *Store) Compact() {
 	}
 }
 
-// remove deletes every file of a finished job. The record goes first,
-// so a reader that resolves the id mid-removal sees an unknown job.
+// remove deletes every file of a finished job. The feed goes first and
+// the record right after it, so a submitter that finds the id free also
+// finds the feed free and publishes a fresh line 0; a reader that
+// resolves the id mid-removal sees an empty feed or an unknown job.
 func (s *Store) remove(id string) {
-	for _, path := range []string{s.jobPath(id), s.donePath(id), s.cancelPath(id), s.pinPath(id),
-		s.rowsPath(id), s.eventsPath(id), s.resultsPath(id)} {
+	for _, path := range []string{s.eventsPath(id), s.jobPath(id), s.donePath(id), s.cancelPath(id),
+		s.pinPath(id), s.rowsPath(id), s.resultsPath(id)} {
 		_ = os.Remove(path)
 	}
 	s.RemoveSnapshots(id)

@@ -38,6 +38,70 @@ func TestSubmitIdempotent(t *testing.T) {
 	}
 }
 
+// TestSubmitFeedStartsWithAccepted pins the feed-order invariant: by the
+// time any handle can list a job as pending (which is how workers find
+// work), line 0 of its feed is "accepted", and racing submitters on
+// separate handles write that line exactly once. A job published before
+// its accepted line let a fast worker's first point precede it.
+func TestSubmitFeedStartsWithAccepted(t *testing.T) {
+	dir := t.TempDir()
+	points := mustPoints(t, testSpec(0.1, 0.2))
+	const submitters = 4
+	var wg sync.WaitGroup
+	created := make(chan bool, submitters)
+	for i := 0; i < submitters; i++ {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, won, err := s.Submit(JobRecord{Points: points, Tenant: fmt.Sprint(i)})
+			if err != nil {
+				t.Error(err)
+			}
+			created <- won
+		}()
+	}
+	wg.Wait()
+	close(created)
+	winners := 0
+	for won := range created {
+		if won {
+			winners++
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("%d submitters created the job, want 1", winners)
+	}
+
+	worker, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := worker.Pending()
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("Pending = %v, %v", ids, err)
+	}
+	id := ids[0]
+	if err := worker.appendEvent(id, StreamEvent{Type: EventClaimed}); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := worker.Events(id, 0)
+	if err != nil || len(lines) != 2 {
+		t.Fatalf("feed = %q, %v; want accepted then claimed", lines, err)
+	}
+	var first StreamEvent
+	if err := json.Unmarshal(lines[0], &first); err != nil {
+		t.Fatal(err)
+	}
+	want := StreamEvent{Type: EventAccepted, ID: id, Total: len(points), State: StateQueued}
+	if first != want {
+		t.Fatalf("feed line 0 = %+v, want %+v", first, want)
+	}
+}
+
 func TestMarkDoneFirstWriterWins(t *testing.T) {
 	s := openStore(t)
 	rec := submitJob(t, s, mustPoints(t, testSpec(0.1)))
@@ -139,10 +203,13 @@ func TestRowsZeroByteAndMissing(t *testing.T) {
 func TestEventsWithholdTornTail(t *testing.T) {
 	s := openStore(t)
 	rec := submitJob(t, s, mustPoints(t, testSpec(0.1)))
-
-	if err := s.AppendEvent(rec.ID, []byte(`{"type":"accepted"}`)); err != nil {
-		t.Fatal(err)
+	// Line 0 is the "accepted" line Submit published with the job.
+	lines, err := s.Events(rec.ID, 0)
+	if err != nil || len(lines) != 1 {
+		t.Fatalf("fresh feed = %q, err %v; want Submit's accepted line", lines, err)
 	}
+	accepted := string(lines[0])
+
 	if err := s.AppendEvent(rec.ID, []byte(`{"type":"claimed"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +224,7 @@ func TestEventsWithholdTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lines, err := s.Events(rec.ID, 0)
+	lines, err = s.Events(rec.ID, 0)
 	if err != nil || len(lines) != 2 {
 		t.Fatalf("Events(0) = %d lines, err %v; want 2 (torn tail withheld)", len(lines), err)
 	}
@@ -179,7 +246,7 @@ func TestEventsWithholdTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(lines[0]) != `{"type":"accepted"}` || string(lines[1]) != `{"type":"claimed"}` {
+		if string(lines[0]) != accepted || string(lines[1]) != `{"type":"claimed"}` {
 			t.Fatal("completing the tail shifted earlier offsets")
 		}
 	}

@@ -302,7 +302,7 @@ func (w *Worker) execute(ctx context.Context, rec JobRecord, lease *Lease, stole
 	// Cache federation: pull rows computed elsewhere into the local cache
 	// before simulating.
 	if w.Peers.Len() > 0 && w.Cache != nil {
-		if n := w.Peers.Warm(w.Cache, pending, false); n > 0 {
+		if n := w.Peers.Warm(w.Cache, pending); n > 0 {
 			w.logf("%s: federated %d cache entr(ies) from peers", rec.ID, n)
 		}
 	}

@@ -234,6 +234,41 @@ func (w *flovRouter) Tick(now int64) {
 	}
 }
 
+// Quiet implements router.Clocked: whether every following tick is a
+// no-op until an input queue delivers or the mechanism rouses the
+// router.
+func (w *flovRouter) Quiet() router.Quiet {
+	switch w.state {
+	case Active:
+		// An empty pipeline with nothing owed, an idle NI and a core that
+		// cannot make the router drain: tickActive only re-clears
+		// wantWake, which nothing but OnGatingChange (which rouses) sets.
+		if (!w.coreGated || w.neverGate) && w.r.Quiet() != router.NotQuiet && !w.owesDone() && !w.localBusy() {
+			return router.QuietPowered
+		}
+	case Sleep:
+		// Empty latches and a core that stays gated: tickSleep only
+		// relays arrivals, and nothing but an arrival (a wake-target
+		// message) or OnGatingChange can start a wakeup.
+		if w.latchesEmpty() && w.coreGated && !w.wantWake {
+			return router.QuietGated
+		}
+	case Draining, Wakeup:
+		// Timeouts and handshakes run every cycle.
+	}
+	return router.NotQuiet
+}
+
+// owesDone reports whether any drain_done reply is still owed.
+func (w *flovRouter) owesDone() bool {
+	for d := range w.oweDone {
+		if len(w.oweDone[d]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // sendOwedDones emits drain_done replies toward every handshake partner
 // waiting on a direction, once no packet remains committed that way. Each
 // reply is addressed to its requester so it cannot be mis-consumed by

@@ -56,6 +56,7 @@ func (m *Mechanism) Attach(n *network.Network) {
 		w := newFLOVRouter(id, m, r, n.Mesh, n.Cfg)
 		ni := n.NIs[id]
 		w.localBusy = ni.Busy
+		r.Wrapper = w
 		m.ws[id] = w
 	}
 }
@@ -70,6 +71,7 @@ func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
 		}
 		w.coreGated = g
 		w.lastLocal = now
+		w.r.Rouse()
 		if !g {
 			// The OS woke the core: the router must power back on.
 			w.wantWake = true
@@ -78,10 +80,10 @@ func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
 }
 
 // TickRouters advances every FLOV router (full pipeline, draining
-// pipeline, latch datapath, or wakeup) one cycle.
+// pipeline, latch datapath, or wakeup) one cycle, skipping quiet ones.
 func (m *Mechanism) TickRouters(now int64) {
-	for _, w := range m.ws {
-		w.Tick(now)
+	for _, r := range m.net.Routers { // each r.Wrapper is its flovRouter
+		r.TickDue(now)
 	}
 }
 

@@ -35,10 +35,11 @@ func (b *BaselineMech) Attach(n *Network) {
 // OnGatingChange ignores core gating: baseline routers never power down.
 func (b *BaselineMech) OnGatingChange(now int64, gated []bool) {}
 
-// TickRouters advances every router's full pipeline.
+// TickRouters advances every router's full pipeline, skipping quiet
+// ones.
 func (b *BaselineMech) TickRouters(now int64) {
 	for _, r := range b.n.Routers {
-		r.Tick(now)
+		r.TickDue(now)
 	}
 }
 

@@ -87,6 +87,9 @@ func (n *Network) stepFaults(now int64) {
 func (n *Network) applyFaultChange(now int64) {
 	for id, r := range n.Routers {
 		r.Frozen = !n.Faults.RouterUp(id)
+		if r.Frozen {
+			r.Rouse() // a frozen tick does not advance inPtr; a skipped one would
+		}
 	}
 	for _, r := range n.Routers {
 		for d := topology.Direction(0); d < topology.NumLinkDirs; d++ {

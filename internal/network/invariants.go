@@ -37,7 +37,12 @@ type LinkCreditSteady interface {
 //     plus flits in flight plus receiver occupancy plus credits in
 //     flight equals the buffer depth;
 //   - every router's per-state input-VC masks equal a recount from the
-//     VC states, and every Idle input VC is empty.
+//     VC states, and every Idle input VC is empty;
+//   - every router or NI the activity-driven loop flagged quiet still
+//     meets its mechanism's quiet predicate, a quiet router is neither
+//     frozen nor holding a non-Idle input VC, and no input queue of a
+//     quiet component can deliver before its due cycle (a skipped tick
+//     never misses work).
 //
 // Step runs it every cycle under the flovdebug build tag; it is
 // exported so tests can drive it in ordinary builds too.
@@ -46,6 +51,50 @@ func (n *Network) CheckInvariants() {
 	n.checkFlitConservation()
 	n.checkCreditConservation()
 	n.checkVCMasks()
+	n.checkQuiet()
+}
+
+// checkQuiet verifies the skip state of every quiet router and NI: the
+// predicate that made it quiet still holds, and its due cycle is no
+// later than any queued input's ready cycle.
+func (n *Network) checkQuiet() {
+	for id, r := range n.Routers {
+		q, due := r.QuietState()
+		if q == router.NotQuiet {
+			continue
+		}
+		if r.Frozen {
+			assert.Failf("router %d: frozen but flagged quiet (%d) at cycle %d", id, q, n.now)
+		}
+		if got := r.Clock().Quiet(); got != q {
+			assert.Failf("router %d: flagged quiet (%d) but its mechanism's predicate now says %d at cycle %d", id, q, got, n.now)
+		}
+		for p := topology.Direction(0); p < topology.NumPorts; p++ {
+			if m := r.StateMask(noc.VCRouting, p) | r.StateMask(noc.VCWaitVC, p) | r.StateMask(noc.VCActive, p); m != 0 {
+				assert.Failf("router %d: quiet with busy input VCs %#x on port %s at cycle %d", id, m, p, n.now)
+			}
+			n.checkDue("router", id, r.Ports[p].InFlit.MinReady(), due)
+			n.checkDue("router", id, r.Ports[p].InCtrl.MinReady(), due)
+		}
+	}
+	for id, ni := range n.NIs {
+		if !ni.quiet {
+			continue
+		}
+		if ni.Busy() {
+			assert.Failf("ni %d: flagged quiet but busy at cycle %d", id, n.now)
+		}
+		n.checkDue("ni", id, ni.recvFlit.MinReady(), ni.due)
+		n.checkDue("ni", id, ni.credIn.MinReady(), ni.due)
+	}
+}
+
+// checkDue fails when a quiet component's input queue holds an item
+// ready before the component's due cycle: the loop would skip past it.
+func (n *Network) checkDue(kind string, id int, ready, due int64) {
+	if ready < due {
+		assert.Failf("%s %d: quiet until cycle %d but an input is ready at cycle %d (missed wake) at cycle %d", kind, id, due, ready, n.now)
+	}
 }
 
 // checkVCMasks recounts each router's per-state input-VC masks from the

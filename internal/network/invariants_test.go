@@ -1,11 +1,13 @@
 package network
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"flov/internal/config"
 	"flov/internal/noc"
+	"flov/internal/router"
 	"flov/internal/topology"
 	"flov/internal/traffic"
 )
@@ -49,6 +51,43 @@ func TestVCMaskInvariantCatchesDesync(t *testing.T) {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "recount from VC states") {
 			t.Fatalf("desynced mask not reported: %q", msg)
+		}
+	}()
+	n.CheckInvariants()
+}
+
+// TestQuietInvariantCatchesMissedWake shows the quiet check fires when a
+// router's due cycle misses an input: it finds an idle router with a
+// flit on the wire toward it and marks it quiet with no due cycle, as a
+// lost Delay consumer registration would.
+func TestQuietInvariantCatchesMissedWake(t *testing.T) {
+	cfg := config.Default()
+	cfg.TotalCycles = 1000
+	cfg.WarmupCycles = 100
+	gen := traffic.NewGenerator(traffic.Uniform, mustMesh(t, cfg), nil)
+	n, err := New(cfg, NewBaseline(), nil, gen, 0.02)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var victim *router.Router
+	for c := 0; c < 1000 && victim == nil; c++ {
+		n.Step()
+		n.CheckInvariants()
+		for _, r := range n.Routers {
+			if r.Quiet() != router.NotQuiet && r.Ports[topology.Local].InFlit.Len() > 0 {
+				victim = r
+				break
+			}
+		}
+	}
+	if victim == nil {
+		t.Fatal("no idle router with an arriving flit in 1000 cycles")
+	}
+	victim.SetQuietState(router.QuietPowered, math.MaxInt64)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "missed wake") {
+			t.Fatalf("missed wake not reported: %q", msg)
 		}
 	}()
 	n.CheckInvariants()

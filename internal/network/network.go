@@ -163,9 +163,13 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 		r.Ports[topology.Local].OutFlit = ej
 		r.Ports[topology.Local].OutCtrl = credUp
 		r.Ports[topology.Local].InCtrl = credDown
-		n.NIs[id].Connect(inj, ej, credUp, credDown)
+		n.NIs[id].Connect(r, inj, ej, credUp, credDown)
 		node := id
 		n.NIs[id].CanInject = func() bool { return n.Mech.CanInject(node) }
+	}
+
+	for _, r := range n.Routers {
+		r.WatchInputs()
 	}
 
 	// Per-node injection processes.
@@ -273,8 +277,8 @@ func (n *Network) Step() {
 
 	// 3. Traffic generation.
 	if n.Gen != nil && now < n.genStop {
-		for id := 0; id < n.Cfg.N(); id++ {
-			if n.gatedMask[id] || !n.injectors[id].ShouldInject() {
+		for id, inj := range n.injectors {
+			if n.gatedMask[id] || !inj.ShouldInject() {
 				continue
 			}
 			dst := n.Gen.Dest(id, n.rng)

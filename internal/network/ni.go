@@ -25,6 +25,15 @@ type NI struct {
 	credIn   *sim.Delay[router.Signal] // router -> NI: credits for injection VCs //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
 	credOut  *sim.Delay[router.Signal] // NI -> router: credits for ejection buffers //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
 
+	// router is the NI's own router, roused whenever a packet is queued:
+	// a FLOV router's idle detection watches its NI.
+	router *router.Router //flovsnap:skip wiring installed by network.New
+
+	// quiet and due are the activity-driven loop's skip state, as for
+	// routers: an idle NI skips its ticks until an input queue is due.
+	quiet bool  //flovsnap:skip derived skip state, cleared on restore
+	due   int64 //flovsnap:skip derived skip state, recomputed whenever the NI goes quiet
+
 	queues  [][]*noc.Packet // per-vnet source queues (unbounded)
 	sending []*txState      // per-vnet in-flight injection
 	out     *noc.OutputVCState
@@ -65,18 +74,31 @@ func newNI(id int, cfg config.Config, st *stats.Collector) *NI {
 // OutState exposes the NI's injection credit state (invariant checks).
 func (ni *NI) OutState() *noc.OutputVCState { return ni.out }
 
-// Connect wires the NI's four channel endpoints.
-func (ni *NI) Connect(send, recv *sim.Delay[*noc.Flit], credIn, credOut *sim.Delay[router.Signal]) {
+// Connect wires the NI to its router through four channel endpoints
+// and registers the NI as the consumer of the two it pops.
+func (ni *NI) Connect(r *router.Router, send, recv *sim.Delay[*noc.Flit], credIn, credOut *sim.Delay[router.Signal]) {
+	ni.router = r
 	ni.sendFlit, ni.recvFlit = send, recv
 	ni.credIn, ni.credOut = credIn, credOut
+	recv.SetConsumer(&ni.due)
+	credIn.SetConsumer(&ni.due)
 }
 
-// Enqueue appends a generated packet to its vnet's source queue.
+// Enqueue appends a generated packet to its vnet's source queue. The NI
+// and its router both tick this cycle: the NI has work, and a FLOV
+// router's idle detection sees the busy NI.
 func (ni *NI) Enqueue(p *noc.Packet) {
 	if p.VNet < 0 || p.VNet >= len(ni.queues) {
 		panic(fmt.Sprintf("ni %d: packet %d has invalid vnet %d", ni.ID, p.ID, p.VNet))
 	}
 	ni.queues[p.VNet] = append(ni.queues[p.VNet], p)
+	ni.rouse()
+}
+
+// rouse makes the NI and its router tick on their next cycle.
+func (ni *NI) rouse() {
+	ni.quiet = false
+	ni.router.Rouse()
 }
 
 // QueueLen returns the number of packets waiting (all vnets), excluding
@@ -142,7 +164,18 @@ func (ni *NI) EachPending(fn func(p *noc.Packet)) {
 }
 
 // Tick processes credits, ejects arrivals, and injects at most one flit.
+// An idle NI (nothing queued or mid-injection) has nothing to inject, so
+// it skips its ticks until a credit or flit is due. The skip test is
+// small enough to inline into the network's NI loop.
 func (ni *NI) Tick(now int64) {
+	if !ni.quiet || ni.due <= now {
+		ni.tick(now)
+	}
+}
+
+// tick is one real NI cycle; afterwards the NI records whether it is
+// quiet and, if so, when its next input is due.
+func (ni *NI) tick(now int64) {
 	ni.credIn.Drain(now, func(s router.Signal) {
 		if s.IsCredit {
 			ni.out.Return(s.VC)
@@ -154,6 +187,11 @@ func (ni *NI) Tick(now int64) {
 	})
 
 	ni.inject(now)
+
+	ni.quiet = !ni.Busy()
+	if ni.quiet {
+		ni.due = min(ni.credIn.MinReady(), ni.recvFlit.MinReady())
+	}
 }
 
 // eject consumes one arriving flit, returning its buffer credit and

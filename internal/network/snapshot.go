@@ -81,6 +81,7 @@ func (ni *NI) RestoreState(s NIState, pkts []*noc.Packet) error {
 	}
 	ni.out.RestoreState(s.Out)
 	ni.vnetRR = s.VnetRR
+	ni.rouse()
 	return nil
 }
 
@@ -195,6 +196,7 @@ func (n *Network) RestoreState(s State, pkts []*noc.Packet) error {
 		// it.
 		for id, r := range n.Routers {
 			r.Frozen = !n.Faults.RouterUp(id)
+			r.Rouse()
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"flov/internal/config"
@@ -110,10 +111,30 @@ type Router struct {
 	OnDrop func(pkt *noc.Packet, flits int, now int64) //flovsnap:skip observer hook, not simulation state
 	// Frozen, when true, halts the whole pipeline: a faulted router
 	// processes nothing until the fault heals. Links into it still queue
-	// (bounded by credits).
+	// (bounded by credits). Whoever sets it must Rouse the router.
 	Frozen bool
 
+	// quiet and due are the activity-driven loop's skip state (TickDue):
+	// while quiet, ticks are skipped until cycle due, the earliest ready
+	// cycle among the input queues, which Delay pushes keep lowering.
+	// They sit beside Frozen and inPtr, the other fields a skipped tick
+	// reads or writes, so a skip touches one cache line.
+	quiet Quiet //flovsnap:skip derived skip state, cleared by Rouse on restore
+	due   int64 //flovsnap:skip derived skip state, recomputed whenever the router goes quiet
+	// inPtr is SA's per-port round-robin start; it advances every cycle
+	// the pipeline runs or is skipped while QuietPowered. skipped counts
+	// those skipped cycles, so a skip is one increment: tickSettle folds
+	// it into inPtr before the next real tick, CaptureState into the
+	// captured pointers.
+	inPtr   [topology.NumPorts]int
+	skipped int //flovsnap:skip folded into InPtr by CaptureState, zeroed by RestoreState
+
 	Ledger *power.Ledger //flovsnap:skip wiring installed by network.New
+
+	// Wrapper, when set, is the power-gating wrapper whose Tick and
+	// Quiet drive this router each cycle (FLOV). nil means the router
+	// ticks itself (Baseline, Router Parking).
+	Wrapper Clocked //flovsnap:skip wiring installed by the gating mechanism on Attach
 
 	in  [topology.NumPorts][]*noc.InputVC
 	out [topology.NumPorts]*noc.OutputVCState
@@ -126,7 +147,6 @@ type Router struct {
 
 	vaPtr [topology.NumPorts]int
 	saPtr [topology.NumPorts]int
-	inPtr [topology.NumPorts]int
 
 	// Per-cycle scratch buffers, reused so the VA stage allocates nothing
 	// in steady state. Contents are only valid within one stage call.
@@ -199,6 +219,134 @@ func (r *Router) StateMask(st noc.VCState, d topology.Direction) uint64 { return
 func (r *Router) SetVCState(d topology.Direction, vc int, st noc.VCState) {
 	r.setState(d, r.in[d][vc], st)
 }
+
+// Quiet says whether a router's next ticks are no-ops until one of its
+// input queues delivers (or its mechanism rouses it), and what a
+// skipped tick must still do to stay identical to a real one.
+type Quiet uint8
+
+const (
+	// NotQuiet: the next tick may do work, so it must run.
+	NotQuiet Quiet = iota
+	// QuietPowered: the pipeline is powered but empty. Its tick would
+	// only advance the SA input pointers, so a skipped tick does that.
+	QuietPowered
+	// QuietGated: the pipeline is power-gated and the tick would not run
+	// it, so a skipped tick changes nothing.
+	QuietGated
+)
+
+// Clocked is a router's per-cycle behaviour as the activity-driven loop
+// sees it: the router itself, or a power-gating wrapper around it.
+type Clocked interface {
+	// Tick advances one cycle.
+	Tick(now int64)
+	// Quiet reports, right after Tick, whether every following tick is
+	// a no-op until an input arrives or the mechanism rouses the router.
+	Quiet() Quiet
+}
+
+// Quiet implements Clocked for a router that ticks itself: with every
+// input VC Idle there is nothing to route, allocate or send.
+func (r *Router) Quiet() Quiet {
+	for p := topology.Direction(0); p < topology.NumPorts; p++ {
+		if r.busy(p) != 0 {
+			return NotQuiet
+		}
+	}
+	return QuietPowered
+}
+
+// TickDue is the activity-driven loop's per-router step, shared by every
+// mechanism: it ticks the router (through Wrapper when set) unless the
+// router is quiet and no input is due yet. A skipped QuietPowered tick
+// still advances the SA input pointers, since they set grant order; it
+// counts in skipped. A Frozen router is never quiet (whoever freezes a
+// router rouses it), so it ticks, a no-op, every cycle until the fault
+// heals. The skip path is small enough to inline into the mechanisms'
+// loops.
+func (r *Router) TickDue(now int64) {
+	if r.quiet == NotQuiet || r.due <= now {
+		r.tickSettle(now)
+	} else if r.quiet == QuietPowered {
+		r.skipped++
+	}
+}
+
+// tickSettle runs one real tick, then records whether the router is
+// quiet and, if so, when its next input is due. A router without a
+// Wrapper is ticked and asked directly, without an interface call.
+func (r *Router) tickSettle(now int64) {
+	if r.skipped != 0 {
+		for p := range r.inPtr {
+			r.inPtr[p] += r.skipped
+		}
+		r.skipped = 0
+	}
+	q := NotQuiet
+	if w := r.Wrapper; w != nil {
+		w.Tick(now)
+		if !r.Frozen {
+			q = w.Quiet()
+		}
+	} else {
+		r.Tick(now)
+		if !r.Frozen {
+			q = r.Quiet()
+		}
+	}
+	r.quiet = q
+	if q != NotQuiet {
+		r.due = r.inputsDue()
+	}
+}
+
+// Clock returns the router's per-cycle behaviour: Wrapper when set,
+// else the router itself.
+func (r *Router) Clock() Clocked {
+	if r.Wrapper != nil {
+		return r.Wrapper
+	}
+	return r
+}
+
+// inputsDue returns the earliest ready cycle among the input queues.
+func (r *Router) inputsDue() int64 {
+	due := int64(math.MaxInt64)
+	for p := range r.Ports {
+		due = min(due, r.Ports[p].InFlit.MinReady(), r.Ports[p].InCtrl.MinReady())
+	}
+	return due
+}
+
+// WatchInputs registers the router as the consumer of every connected
+// input queue, so each push lowers its due cycle. Call once, after the
+// ports are wired and before the first TickDue.
+func (r *Router) WatchInputs() {
+	for p := range r.Ports {
+		if q := r.Ports[p].InFlit; q != nil {
+			q.SetConsumer(&r.due)
+		}
+		if q := r.Ports[p].InCtrl; q != nil {
+			q.SetConsumer(&r.due)
+		}
+	}
+}
+
+// Rouse makes the router tick on its next TickDue. Mechanisms call it
+// when something other than an input queue may give the router work: a
+// core power change, a reconfiguration, a packet queued at its NI, a
+// restored snapshot, a fault that freezes the router.
+func (r *Router) Rouse() { r.quiet = NotQuiet }
+
+// QuietState returns the router's skip state: how it is quiet, and the
+// cycle its next input is due. Invariant checks compare it with the
+// mechanism's predicate and the input queues.
+func (r *Router) QuietState() (Quiet, int64) { return r.quiet, r.due }
+
+// SetQuietState forces the skip state. It is a test hook for staging a
+// missed wakeup; simulation code never calls it.
+func (r *Router) SetQuietState(q Quiet, due int64) { r.quiet, r.due = q, due }
 
 // Out returns the output credit state for a port (used by power-gating
 // wrappers for credit sync).

@@ -33,7 +33,7 @@ func (r *Router) CaptureState(t *noc.PacketTable) State {
 		s.Out = append(s.Out, r.out[p].CaptureState())
 		s.VAPtr = append(s.VAPtr, r.vaPtr[p])
 		s.SAPtr = append(s.SAPtr, r.saPtr[p])
-		s.InPtr = append(s.InPtr, r.inPtr[p])
+		s.InPtr = append(s.InPtr, r.inPtr[p]+r.skipped)
 	}
 	return s
 }
@@ -66,7 +66,9 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 		r.saPtr[p] = s.SAPtr[p]
 		r.inPtr[p] = s.InPtr[p]
 	}
+	r.skipped = 0
 	r.rebuildMasks()
 	r.Traversals = s.Traversals
+	r.Rouse()
 	return nil
 }

@@ -116,11 +116,12 @@ func (m *Mechanism) OnGatingChange(now int64, gated []bool) {
 	m.ledger.AddDyn(power.CatHandshake, activeRouters)
 }
 
-// TickRouters advances active routers and progresses reconfiguration.
+// TickRouters advances active routers, skipping quiet ones, and
+// progresses reconfiguration.
 func (m *Mechanism) TickRouters(now int64) {
 	for id, r := range m.net.Routers {
 		if !m.parked[id] {
-			r.Tick(now)
+			r.TickDue(now)
 		}
 	}
 	if m.reconfiguring && now >= m.reconfigReady &&
@@ -179,6 +180,11 @@ func (m *Mechanism) applyReconfiguration(now int64) {
 	m.table = t
 	m.parked = newParked
 	m.reconfiguring = false
+	// Unparked routers resume with whatever their skip state was when
+	// they were parked; re-examine every router under the new tables.
+	for _, r := range m.net.Routers {
+		r.Rouse()
+	}
 	if m.net.Trace != nil {
 		on, gated := m.RouterPowerCounts()
 		m.net.Trace.Addf(now, nlog.KReconfig, -1,

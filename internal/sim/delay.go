@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Delay is an ordered delay queue: items pushed at cycle t with latency L
 // become visible at cycle t+L. It models a pipelined wire/FIFO between two
 // components. Because consumers can only observe items pushed on earlier
@@ -8,9 +10,15 @@ package sim
 //
 // FIFO order is preserved even for items pushed on the same cycle, so a
 // control channel can rely on "credit then notice" ordering.
+//
+// A Delay may name its consumer's due cycle (SetConsumer): the cycle at
+// which a consumer that skips idle cycles must next tick. Every enqueue
+// lowers it to the new item's ready cycle, so a skipping consumer never
+// misses an arrival.
 type Delay[T any] struct {
-	latency int64 //flovsnap:skip property of the wire, not of the traffic on it
-	items   []timed[T]
+	latency  int64 //flovsnap:skip property of the wire, not of the traffic on it
+	items    []timed[T]
+	consumer *int64 //flovsnap:skip wiring installed by the consumer, not traffic state
 }
 
 type timed[T any] struct {
@@ -27,14 +35,37 @@ func NewDelay[T any](latency int) *Delay[T] {
 	return &Delay[T]{latency: int64(latency)}
 }
 
-// Push enqueues v at cycle now; it becomes visible at now+latency.
-func (d *Delay[T]) Push(now int64, v T) {
-	d.items = append(d.items, timed[T]{ready: now + d.latency, v: v})
+// SetConsumer names the due cycle of the component that pops this
+// queue. From then on every Push, PushAfter and SetQueued lowers *due to
+// the ready cycle of each item it enqueues.
+func (d *Delay[T]) SetConsumer(due *int64) { d.consumer = due }
+
+// enqueue appends one item and lowers the consumer's due cycle to its
+// ready cycle.
+func (d *Delay[T]) enqueue(ready int64, v T) {
+	d.items = append(d.items, timed[T]{ready: ready, v: v})
+	if c := d.consumer; c != nil && ready < *c {
+		*c = ready
+	}
 }
 
+// Push enqueues v at cycle now; it becomes visible at now+latency.
+func (d *Delay[T]) Push(now int64, v T) { d.enqueue(now+d.latency, v) }
+
 // PushAfter enqueues v with an extra delay on top of the base latency.
-func (d *Delay[T]) PushAfter(now int64, extra int64, v T) {
-	d.items = append(d.items, timed[T]{ready: now + d.latency + extra, v: v})
+func (d *Delay[T]) PushAfter(now int64, extra int64, v T) { d.enqueue(now+d.latency+extra, v) }
+
+// MinReady returns the first cycle at which an item can become visible:
+// the front item's ready cycle, since items leave in FIFO order and
+// nothing behind the front is visible before it. It is math.MaxInt64
+// when the queue is empty or nil (an unconnected port). A consumer that
+// goes quiet recomputes its due cycle from the MinReady of every input
+// queue.
+func (d *Delay[T]) MinReady() int64 {
+	if d == nil || len(d.items) == 0 {
+		return math.MaxInt64
+	}
+	return d.items[0].ready
 }
 
 // Ready reports whether an item is visible at cycle now.
@@ -53,16 +84,6 @@ func (d *Delay[T]) Pop(now int64) (T, bool) {
 	copy(d.items, d.items[1:])
 	d.items = d.items[:len(d.items)-1]
 	return v, true
-}
-
-// PopAll removes and returns every item visible at cycle now, in order.
-func (d *Delay[T]) PopAll(now int64) []T {
-	var out []T
-	for d.Ready(now) {
-		v, _ := d.Pop(now)
-		out = append(out, v)
-	}
-	return out
 }
 
 // Drain visits every item visible at cycle now, in order, without
@@ -111,10 +132,11 @@ func (d *Delay[T]) Queued() []Queued[T] {
 
 // SetQueued replaces the queue contents with the given items (absolute
 // ready cycles, queue order). The latency is unchanged; it is a property
-// of the wire, not of the traffic on it.
+// of the wire, not of the traffic on it. Like Push, each restored item
+// lowers the consumer's due cycle.
 func (d *Delay[T]) SetQueued(items []Queued[T]) {
 	d.items = d.items[:0]
 	for _, it := range items {
-		d.items = append(d.items, timed[T]{ready: it.Ready, v: it.V})
+		d.enqueue(it.Ready, it.V)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -113,7 +114,8 @@ func TestDelayFIFOWithinCycle(t *testing.T) {
 	d.Push(0, 1)
 	d.Push(0, 2)
 	d.Push(0, 3)
-	got := d.PopAll(1)
+	var got []int
+	d.Drain(1, func(v int) { got = append(got, v) })
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order violated: %v", got)
 	}
@@ -142,6 +144,64 @@ func TestDelayPushAfter(t *testing.T) {
 	}
 	if v, ok := d.Pop(6); !ok || v != 9 {
 		t.Fatal("PushAfter item lost")
+	}
+}
+
+// TestDelayLowersConsumerDue pins the wake contract skipping consumers
+// rely on: every way of enqueueing lowers the consumer's due cycle to
+// the item's ready cycle, and never raises it.
+func TestDelayLowersConsumerDue(t *testing.T) {
+	d := NewDelay[int](2)
+	due := int64(math.MaxInt64)
+	d.SetConsumer(&due)
+
+	d.PushAfter(10, 3, 1) // ready 15
+	if due != 15 {
+		t.Fatalf("PushAfter: due = %d, want 15", due)
+	}
+	d.Push(10, 2) // ready 12
+	if due != 12 {
+		t.Fatalf("Push: due = %d, want 12", due)
+	}
+	d.Push(20, 3) // ready 22: later than due, must not raise it
+	if due != 12 {
+		t.Fatalf("later Push raised due to %d", due)
+	}
+
+	due = math.MaxInt64
+	d.SetQueued([]Queued[int]{{Ready: 40, V: 1}, {Ready: 31, V: 2}})
+	if due != 31 {
+		t.Fatalf("SetQueued: due = %d, want 31", due)
+	}
+	// FIFO: the item ready at 31 sits behind the front, so nothing is
+	// visible before 40 and MinReady says so.
+	if got := d.MinReady(); got != 40 {
+		t.Fatalf("MinReady = %d, want 40 (the front)", got)
+	}
+	if d.Ready(39) || !d.Ready(40) {
+		t.Fatal("front visibility disagrees with MinReady")
+	}
+}
+
+// TestDelayMinReadyEmpty: an empty or nil queue never wakes its consumer.
+func TestDelayMinReadyEmpty(t *testing.T) {
+	d := NewDelay[int](1)
+	if got := d.MinReady(); got != math.MaxInt64 {
+		t.Fatalf("empty MinReady = %d", got)
+	}
+	d.Push(3, 1)
+	d.Pop(4)
+	if got := d.MinReady(); got != math.MaxInt64 {
+		t.Fatalf("drained MinReady = %d", got)
+	}
+	var none *Delay[int]
+	if got := none.MinReady(); got != math.MaxInt64 {
+		t.Fatalf("nil MinReady = %d", got)
+	}
+	// Without a consumer, pushes are plain enqueues.
+	d.Push(5, 2)
+	if got := d.MinReady(); got != 6 {
+		t.Fatalf("MinReady = %d, want 6", got)
 	}
 }
 
