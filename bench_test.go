@@ -256,6 +256,34 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
+// BenchmarkStepSaturated measures the cycle kernel at the load the
+// paper's latency curves climb to: an 8x8 Baseline mesh under uniform
+// traffic at 0.30 flits/node/cycle with nothing gated, warmed up to
+// steady state, one Step call per iteration. Busy routers make VC and
+// switch allocation, link queues and per-packet bookkeeping dominate;
+// its allocs/op is gated in BENCH_sweep.json like BenchmarkStep's.
+func BenchmarkStepSaturated(b *testing.B) {
+	cfg := flov.Default()
+	mesh, err := topology.NewMesh(cfg.Width, cfg.Height)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := traffic.NewGenerator(traffic.Uniform, mesh, nil)
+	n, err := network.New(cfg, network.NewBaseline(), nil, gen, 0.30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.StopGeneration(math.MaxInt64)
+	for i := 0; i < 5_000; i++ {
+		n.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Step()
+	}
+}
+
 func benchSweep(b *testing.B, workers int) {
 	jobs := benchSweepJobs(b)
 	b.ReportAllocs()

@@ -60,7 +60,6 @@ func DefaultHotAllocRoots() []RootSpec {
 		{Pkg: "flov/internal/sim", Recv: "Delay", Func: "Push"},
 		{Pkg: "flov/internal/sim", Recv: "Delay", Func: "PushAfter"},
 		{Pkg: "flov/internal/sim", Recv: "Delay", Func: "Pop"},
-		{Pkg: "flov/internal/sim", Recv: "Delay", Func: "Drain"},
 	}
 }
 

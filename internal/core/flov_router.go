@@ -34,10 +34,11 @@ type flovRouter struct {
 	logID    [topology.NumLinkDirs]int
 	logState [topology.NumLinkDirs]PowerState
 
-	// FLOV latch datapath: one output latch per direction; only the
-	// dimensions with neighbors on both sides carry fly-over links.
+	// FLOV latch datapath: one output latch per direction (Pkt 0 when
+	// empty); only the dimensions with neighbors on both sides carry
+	// fly-over links.
 	flovX, flovY bool //flovsnap:skip derived from mesh position at construction
-	latch        [topology.NumLinkDirs]*noc.Flit
+	latch        [topology.NumLinkDirs]noc.Flit
 
 	// Handshake bookkeeping.
 	doneNeeded [topology.NumLinkDirs]bool  // awaiting drain_done per direction
@@ -512,13 +513,13 @@ func (w *flovRouter) tickWakeup(now int64) {
 			continue
 		}
 		dir := topology.Direction(d)
-		q.Drain(now, func(s router.Signal) {
+		for s, ok := q.Pop(now); ok; s, ok = q.Pop(now) {
 			if s.IsCredit {
 				w.relay(dir, s) // still relaying downstream credits upstream
-				return
+				continue
 			}
 			w.handleWakeupMsg(dir, s.Msg.(Msg))
-		})
+		}
 	}
 
 	ready := now >= w.poweredAt && w.latchesEmpty() && !w.flovArrivalsPending()
@@ -618,7 +619,7 @@ func (w *flovRouter) assertGatedQuiescent(now int64) {
 // latchesEmpty reports whether all FLOV output latches are clear.
 func (w *flovRouter) latchesEmpty() bool {
 	for _, f := range w.latch {
-		if f != nil {
+		if f.Pkt != 0 {
 			return false
 		}
 	}
@@ -646,25 +647,26 @@ func (w *flovRouter) forwardLatches(now int64) {
 		if out.IsVertical() && !w.flovY || !out.IsVertical() && !w.flovX {
 			continue
 		}
-		if f := w.latch[d]; f != nil {
-			w.latch[d] = nil
+		if f := w.latch[d]; f.Pkt != 0 {
+			w.latch[d] = noc.Flit{}
 			w.r.Ports[out].OutFlit.Push(now, f)
 			w.mech.ledger.AddDyn(power.CatLink, 1)
 			if f.Type.IsHead() {
-				f.Pkt.LinkHops++
+				w.r.Pkts.Get(f.Pkt).LinkHops++
 			}
 		}
 		in := out.Opposite()
-		if w.latch[d] == nil {
+		if w.latch[d].Pkt == 0 {
 			if f, ok := w.r.Ports[in].InFlit.Pop(now); ok {
-				if f.Pkt.Dst == w.id {
-					panic(fmt.Sprintf("flov %d: flit %s for own core arrived while power-gated", w.id, f))
+				pkt := w.r.Pkts.Get(f.Pkt)
+				if pkt.Dst == w.id {
+					panic(fmt.Sprintf("flov %d: flit %s for own core arrived while power-gated", w.id, w.r.Pkts.Describe(f)))
 				}
 				w.latch[d] = f
 				w.latchTraversals++
 				w.mech.ledger.AddDyn(power.CatFLOVLatch, 1)
 				if f.Type.IsHead() {
-					f.Pkt.FLOVHops++
+					pkt.FLOVHops++
 				}
 			}
 		}
@@ -676,14 +678,14 @@ func (w *flovRouter) forwardLatches(now int64) {
 		if dead {
 			if q := w.r.Ports[out].InFlit; q != nil {
 				if f, ok := q.Pop(now); ok {
-					panic(fmt.Sprintf("flov %d: flit %s arrived on dead dimension %s while gated", w.id, f, out))
+					panic(fmt.Sprintf("flov %d: flit %s arrived on dead dimension %s while gated", w.id, w.r.Pkts.Describe(f), out))
 				}
 			}
 		}
 	}
 	if q := w.r.Ports[topology.Local].InFlit; q != nil {
 		if f, ok := q.Pop(now); ok {
-			panic(fmt.Sprintf("flov %d: local flit %s injected while gated", w.id, f))
+			panic(fmt.Sprintf("flov %d: local flit %s injected while gated", w.id, w.r.Pkts.Describe(f)))
 		}
 	}
 }
@@ -698,21 +700,21 @@ func (w *flovRouter) relayAndObserve(now int64) {
 			continue
 		}
 		dir := topology.Direction(d)
-		q.Drain(now, func(s router.Signal) {
+		for s, ok := q.Pop(now); ok; s, ok = q.Pop(now) {
 			if s.IsCredit {
 				w.relay(dir, s)
-				return
+				continue
 			}
 			m := s.Msg.(Msg)
 			if m.Type == MsgWakeTarget && m.Target == w.id {
 				w.wantWake = true
-				return
+				continue
 			}
 			// Addressed replies: a late reply to this (now sleeping)
 			// router is stale and must be dropped, not passed to a
 			// router that would misread it; everything else relays.
 			if m.To >= 0 && m.To == w.id {
-				return
+				continue
 			}
 			w.observe(dir, m)
 			if m.Type == MsgDrainReq || m.Type == MsgWakeupReq {
@@ -720,7 +722,7 @@ func (w *flovRouter) relayAndObserve(now int64) {
 			} else {
 				w.relay(dir, s)
 			}
-		})
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func (w *flovRouter) inputFreeCounts(d topology.Direction) []int {
 		free[v] = w.cfg.BufferDepth - w.r.InVC(d, v).Len()
 	}
 	if q := w.r.Ports[d].InFlit; q != nil {
-		q.Each(func(f *noc.Flit) { free[f.VC]-- })
+		q.Each(func(f noc.Flit) { free[f.VC]-- })
 	}
 	return free
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"flov/internal/network"
 	"flov/internal/nlog"
+	"flov/internal/noc"
 	"flov/internal/power"
 	"flov/internal/topology"
 )
@@ -129,18 +130,17 @@ func (m *Mechanism) Quiescent() bool {
 	return true
 }
 
-// HeldFlits implements network.FlitHolder: flits currently sitting in
-// FLOV output latches, which flit-conservation checks must count.
-func (m *Mechanism) HeldFlits() int {
-	held := 0
+// EachHeldFlit implements network.FlitHolder: it visits the flits
+// currently sitting in FLOV output latches, which flit conservation and
+// the packet-arena check must count.
+func (m *Mechanism) EachHeldFlit(fn func(noc.Flit)) {
 	for _, w := range m.ws {
 		for _, f := range w.latch {
-			if f != nil {
-				held++
+			if f.Pkt != 0 {
+				fn(f)
 			}
 		}
 	}
-	return held
 }
 
 // LinkCreditSteady implements network.LinkCreditSteady: router id's

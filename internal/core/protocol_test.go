@@ -21,7 +21,9 @@ func drainCtrl(w *flovRouter, d topology.Direction, at int64) []router.Signal {
 	if q == nil {
 		return nil
 	}
-	q.Drain(at, func(s router.Signal) { out = append(out, s) })
+	for s, ok := q.Pop(at); ok; s, ok = q.Pop(at) {
+		out = append(out, s)
+	}
 	return out
 }
 

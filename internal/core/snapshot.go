@@ -78,7 +78,7 @@ func (m *Mechanism) CaptureState(t *noc.PacketTable) State {
 		}
 		for d := 0; d < topology.NumLinkDirs; d++ {
 			rs.OweDone = append(rs.OweDone, append([]int(nil), w.oweDone[d]...))
-			if f := w.latch[d]; f != nil {
+			if f := w.latch[d]; f.Pkt != 0 {
 				rs.Latch = append(rs.Latch, noc.CaptureFlit(t, f))
 				rs.LatchDir = append(rs.LatchDir, d)
 			}
@@ -97,7 +97,7 @@ func (m *Mechanism) CaptureState(t *noc.PacketTable) State {
 }
 
 // RestoreState overwrites the mechanism's mutable state from a capture.
-func (m *Mechanism) RestoreState(s State, pkts []*noc.Packet) error {
+func (m *Mechanism) RestoreState(s State, pkts []noc.PacketRef) error {
 	if len(s.Routers) != len(m.ws) {
 		return fmt.Errorf("core: snapshot has %d routers, mechanism has %d", len(s.Routers), len(m.ws))
 	}
@@ -120,7 +120,7 @@ func (m *Mechanism) RestoreState(s State, pkts []*noc.Packet) error {
 		copy(w.awaitSync[:], rs.AwaitSync)
 		for d := 0; d < topology.NumLinkDirs; d++ {
 			w.oweDone[d] = append(w.oweDone[d][:0], rs.OweDone[d]...)
-			w.latch[d] = nil
+			w.latch[d] = noc.Flit{}
 		}
 		for i, fs := range rs.Latch {
 			d := rs.LatchDir[i]

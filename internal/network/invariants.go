@@ -10,9 +10,10 @@ import (
 
 // FlitHolder is implemented by mechanisms whose power-gated datapath
 // holds flits outside router buffers and link queues (the FLOV output
-// latches), so flit conservation can account for them.
+// latches), so flit conservation and the packet-arena check can account
+// for them.
 type FlitHolder interface {
-	HeldFlits() int
+	EachHeldFlit(fn func(noc.Flit))
 }
 
 // LinkCreditSteady is implemented by mechanisms that rewrite credit
@@ -42,7 +43,11 @@ type LinkCreditSteady interface {
 //     meets its mechanism's quiet predicate, a quiet router is neither
 //     frozen nor holding a non-Idle input VC, and no input queue of a
 //     quiet component can deliver before its due cycle (a skipped tick
-//     never misses work).
+//     never misses work);
+//   - the packet arena holds exactly the packets still in the network:
+//     every handle named by a source queue, an NI transmission, an input
+//     buffer, a link queue or a FLOV latch is live, and the arena has no
+//     other live handle (a packet is freed once, when it leaves).
 //
 // Step runs it every cycle under the flovdebug build tag; it is
 // exported so tests can drive it in ordinary builds too.
@@ -52,6 +57,72 @@ func (n *Network) CheckInvariants() {
 	n.checkCreditConservation()
 	n.checkVCMasks()
 	n.checkQuiet()
+	n.checkArena()
+}
+
+// checkArena matches the arena's live handles against the distinct
+// packets reachable from every site that can name one.
+func (n *Network) checkArena() {
+	seen := make([]bool, n.Pkts.Bound())
+	distinct := 0
+	visit := func(site string, id int, h noc.PacketRef) {
+		if !n.Pkts.IsLive(h) {
+			assert.Failf("packet arena: %s %d names handle %d, which is not live, at cycle %d", site, id, h, n.now)
+		}
+		if !seen[h] {
+			seen[h] = true
+			distinct++
+		}
+	}
+	for id, ni := range n.NIs {
+		for _, q := range ni.queues {
+			for _, h := range q {
+				visit("source queue of ni", id, h)
+			}
+		}
+		for _, tx := range ni.sending {
+			if tx.pkt != 0 {
+				visit("transmission of ni", id, tx.pkt)
+			}
+		}
+	}
+	vcs := n.Cfg.VCsTotal()
+	for id, r := range n.Routers {
+		for p := topology.Direction(0); p < topology.NumPorts; p++ {
+			for vc := 0; vc < vcs; vc++ {
+				ivc := r.InVC(p, vc)
+				for i := 0; i < ivc.Len(); i++ {
+					visit("input buffer of router", id, ivc.At(i).Pkt)
+				}
+			}
+		}
+	}
+	n.eachFlitQueue(func(q *sim.Delay[noc.Flit]) {
+		q.Each(func(f noc.Flit) { visit("flit queue", -1, f.Pkt) })
+	})
+	if h, ok := n.Mech.(FlitHolder); ok {
+		h.EachHeldFlit(func(f noc.Flit) { visit("FLOV latch", -1, f.Pkt) })
+	}
+	if live := n.Pkts.Live(); live != distinct {
+		assert.Failf("packet arena: %d live handles but %d packets in the network at cycle %d", live, distinct, n.now)
+	}
+}
+
+// eachFlitQueue visits every flit queue once: each router port's
+// OutFlit (the ejection queue and every inter-router link, each link
+// being one router's output) and each Local InFlit (the injection
+// queue).
+func (n *Network) eachFlitQueue(fn func(q *sim.Delay[noc.Flit])) {
+	for _, r := range n.Routers {
+		for p := topology.Direction(0); p < topology.NumPorts; p++ {
+			if q := r.Ports[p].OutFlit; q != nil {
+				fn(q)
+			}
+		}
+		if q := r.Ports[topology.Local].InFlit; q != nil {
+			fn(q)
+		}
+	}
 }
 
 // checkQuiet verifies the skip state of every quiet router and NI: the
@@ -157,10 +228,8 @@ func (n *Network) checkBounds() {
 }
 
 // checkFlitConservation matches the stats counters against the flits
-// actually present in the network. Every queue is owned by exactly one
-// router port: OutFlit covers the ejection queue and every inter-router
-// link (each link is one router's output), and the Local InFlit is the
-// injection queue.
+// actually present in the network: input buffers, every flit queue
+// (eachFlitQueue) and mechanism latches.
 func (n *Network) checkFlitConservation() {
 	vcs := n.Cfg.VCsTotal()
 	counted := int64(0)
@@ -169,16 +238,11 @@ func (n *Network) checkFlitConservation() {
 			for vc := 0; vc < vcs; vc++ {
 				counted += int64(r.InVC(p, vc).Len())
 			}
-			if q := r.Ports[p].OutFlit; q != nil {
-				counted += int64(q.Len())
-			}
-		}
-		if q := r.Ports[topology.Local].InFlit; q != nil {
-			counted += int64(q.Len())
 		}
 	}
+	n.eachFlitQueue(func(q *sim.Delay[noc.Flit]) { counted += int64(q.Len()) })
 	if h, ok := n.Mech.(FlitHolder); ok {
-		counted += int64(h.HeldFlits())
+		h.EachHeldFlit(func(noc.Flit) { counted++ })
 	}
 	if inFlight := n.Stats.InFlightFlits(); counted != inFlight {
 		assert.Failf("flit conservation: stats say %d in flight but %d found in buffers/queues/latches at cycle %d",
@@ -196,10 +260,10 @@ func (n *Network) linkSteady(id int, d topology.Direction) bool {
 }
 
 // flitsPerVC tallies queued flits by their (downstream) VC index.
-func flitsPerVC(q *sim.Delay[*noc.Flit], vcs int) []int {
+func flitsPerVC(q *sim.Delay[noc.Flit], vcs int) []int {
 	counts := make([]int, vcs)
 	if q != nil {
-		q.Each(func(f *noc.Flit) { counts[f.VC]++ })
+		q.Each(func(f noc.Flit) { counts[f.VC]++ })
 	}
 	return counts
 }

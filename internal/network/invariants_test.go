@@ -92,3 +92,67 @@ func TestQuietInvariantCatchesMissedWake(t *testing.T) {
 	}()
 	n.CheckInvariants()
 }
+
+// TestArenaInvariantCatchesSkippedFree shows the packet-arena check
+// fires when a delivered packet's slot is never freed: it ejects one
+// single-flit packet by hand, doing everything NI.eject does except the
+// Free.
+func TestArenaInvariantCatchesSkippedFree(t *testing.T) {
+	cfg := config.Default()
+	cfg.PacketSize = 1
+	cfg.TotalCycles = 1000
+	cfg.WarmupCycles = 100
+	gen := traffic.NewGenerator(traffic.Uniform, mustMesh(t, cfg), nil)
+	n, err := New(cfg, NewBaseline(), nil, gen, 0.05)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for c := 0; c < 1000; c++ {
+		n.Step()
+		n.CheckInvariants()
+		for _, ni := range n.NIs {
+			f, ok := ni.recvFlit.Pop(n.Now())
+			if !ok {
+				continue
+			}
+			ni.credOut.Push(n.Now(), router.CreditSignal(int(f.VC)))
+			ni.Stats.NoteEjectedFlits(1)
+			p := n.Pkts.Get(f.Pkt)
+			p.EjectedAt = n.Now()
+			ni.Stats.Record(p)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "packet arena") {
+					t.Fatalf("skipped Free not reported: %q", msg)
+				}
+			}()
+			n.CheckInvariants()
+			t.Fatal("CheckInvariants passed with a delivered packet's slot still live")
+		}
+	}
+	t.Fatal("no tail flit reached an NI in 1000 cycles")
+}
+
+// TestArenaInvariantCatchesEarlyFree shows the check fires the other
+// way too: a packet freed while its flits are still in the network.
+func TestArenaInvariantCatchesEarlyFree(t *testing.T) {
+	cfg := config.Default()
+	n, err := New(cfg, NewBaseline(), nil, nil, 0)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	p := n.NewPacket(0, 9, 0, 4)
+	n.NIs[0].Enqueue(p)
+	for c := 0; c < 5; c++ {
+		n.Step()
+		n.CheckInvariants()
+	}
+	n.Pkts.Free(p.Ref)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "which is not live") {
+			t.Fatalf("early Free not reported: %q", msg)
+		}
+	}()
+	n.CheckInvariants()
+}

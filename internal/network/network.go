@@ -60,6 +60,9 @@ type Network struct {
 	Mech    Mechanism
 	Ledger  *power.Ledger
 	Stats   *stats.Collector
+	// Pkts holds every live packet: flits, source queues and latches
+	// name packets by handle in it.
+	Pkts *noc.Arena //flovsnap:skip packets are captured through the sites that name them (noc.PacketTable)
 
 	// Trace, when enabled, records simulator events into a bounded ring
 	// (power transitions, gating changes, reconfigurations, deliveries).
@@ -120,6 +123,7 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 		Schedule: sched,
 		Gen:      gen,
 		InjRate:  injRate,
+		Pkts:     noc.NewArena(),
 		rng:      sim.NewRNG(cfg.Seed),
 		genStop:  cfg.TotalCycles,
 		nextPkt:  1,
@@ -129,8 +133,8 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 	n.Routers = make([]*router.Router, cfg.N())
 	n.NIs = make([]*NI, cfg.N())
 	for id := 0; id < cfg.N(); id++ {
-		n.Routers[id] = router.New(id, cfg, mesh, ledger)
-		n.NIs[id] = newNI(id, cfg, st)
+		n.Routers[id] = router.New(id, cfg, mesh, ledger, n.Pkts)
+		n.NIs[id] = newNI(id, cfg, st, n.Pkts)
 	}
 
 	// Inter-router channels: for each directed adjacency, one flit queue
@@ -142,7 +146,7 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 			if nb < 0 {
 				continue
 			}
-			flitQ := sim.NewDelay[*noc.Flit](cfg.LinkLatency)
+			flitQ := sim.NewDelay[noc.Flit](cfg.LinkLatency)
 			ctrlQ := sim.NewDelay[router.Signal](1)
 			n.Routers[id].Ports[d].OutFlit = flitQ
 			n.Routers[id].Ports[d].InCtrl = ctrlQ
@@ -154,8 +158,8 @@ func New(cfg config.Config, mech Mechanism, sched *gating.Schedule, gen *traffic
 
 	// NI <-> router local channels.
 	for id := 0; id < cfg.N(); id++ {
-		inj := sim.NewDelay[*noc.Flit](1)
-		ej := sim.NewDelay[*noc.Flit](1)
+		inj := sim.NewDelay[noc.Flit](1)
+		ej := sim.NewDelay[noc.Flit](1)
 		credUp := sim.NewDelay[router.Signal](1)   // router -> NI
 		credDown := sim.NewDelay[router.Signal](1) // NI -> router
 		r := n.Routers[id]
@@ -234,16 +238,18 @@ func (n *Network) GatedMask() []bool { return n.gatedMask }
 // CoreGated reports whether node id's core is currently power-gated.
 func (n *Network) CoreGated(id int) bool { return n.gatedMask[id] }
 
-// NewPacket allocates a packet with a fresh id, stamped CreatedAt now.
+// NewPacket allocates a packet in the arena with a fresh id, stamped
+// CreatedAt now. Its slot is freed when the packet leaves the network:
+// after its tail is ejected, or when it is dropped as a classified loss.
+// The caller hands it to an NI with Enqueue.
 func (n *Network) NewPacket(src, dst, vnet, size int) *noc.Packet {
-	p := &noc.Packet{
-		ID:        n.nextPkt,
-		Src:       src,
-		Dst:       dst,
-		VNet:      vnet,
-		Size:      size,
-		CreatedAt: n.now,
-	}
+	p := n.Pkts.Alloc()
+	p.ID = n.nextPkt
+	p.Src = src
+	p.Dst = dst
+	p.VNet = vnet
+	p.Size = size
+	p.CreatedAt = n.now
 	n.nextPkt++
 	n.Stats.NotePacketCreated(n.now)
 	return p

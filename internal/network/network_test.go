@@ -69,8 +69,7 @@ func TestNIMisdeliveryPanics(t *testing.T) {
 		}
 	}()
 	// Deliver the packet to the wrong NI directly.
-	f := noc.MakePacketFlits(p)[0]
-	n.NIs[0].eject(f, 0)
+	n.NIs[0].eject(noc.NewFlit(p.Ref, 0, p.Size), 0)
 }
 
 func TestVNetQueuesIndependent(t *testing.T) {

@@ -20,8 +20,8 @@ type NI struct {
 	Cfg config.Config //flovsnap:skip immutable run configuration
 
 	// Channel endpoints (the router holds the mirrored ends).
-	sendFlit *sim.Delay[*noc.Flit]     // NI -> router local input //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
-	recvFlit *sim.Delay[*noc.Flit]     // router local output -> NI //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
+	sendFlit *sim.Delay[noc.Flit]      // NI -> router local input //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
+	recvFlit *sim.Delay[noc.Flit]      // router local output -> NI //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
 	credIn   *sim.Delay[router.Signal] // router -> NI: credits for injection VCs //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
 	credOut  *sim.Delay[router.Signal] // NI -> router: credits for ejection buffers //flovsnap:skip captured through the router Local port by the snapshot channel enumeration
 
@@ -34,8 +34,11 @@ type NI struct {
 	quiet bool  //flovsnap:skip derived skip state, cleared on restore
 	due   int64 //flovsnap:skip derived skip state, recomputed whenever the NI goes quiet
 
-	queues  [][]*noc.Packet // per-vnet source queues (unbounded)
-	sending []*txState      // per-vnet in-flight injection
+	// pkts is the network's packet arena; queues and transmissions hold
+	// handles into it.
+	pkts    *noc.Arena        //flovsnap:skip wiring installed by network.New; packets are captured through the handles that name them
+	queues  [][]noc.PacketRef // per-vnet source queues (unbounded)
+	sending []txState         // per-vnet in-flight injection
 	out     *noc.OutputVCState
 	vnetRR  int
 
@@ -50,22 +53,26 @@ type NI struct {
 	Trace *nlog.Log //flovsnap:skip opt-in observability ring, not simulation state
 }
 
-// txState tracks one packet being serialized into the router.
+// txState tracks one packet being serialized into the router: flits
+// below next have been sent, each derived from the packet's handle and
+// size. pkt 0 means the vnet has no transmission in progress.
 type txState struct {
-	pkt   *noc.Packet
-	flits []*noc.Flit
-	next  int
-	vc    int
+	pkt  noc.PacketRef
+	size int
+	next int
+	vc   int
 }
 
-// newNI builds an NI; the caller wires channels via Connect.
-func newNI(id int, cfg config.Config, st *stats.Collector) *NI {
+// newNI builds an NI over the packet arena pkts; the caller wires
+// channels via Connect.
+func newNI(id int, cfg config.Config, st *stats.Collector, pkts *noc.Arena) *NI {
 	vnets := cfg.VNets
 	return &NI{
 		ID:      id,
 		Cfg:     cfg,
-		queues:  make([][]*noc.Packet, vnets),
-		sending: make([]*txState, vnets),
+		pkts:    pkts,
+		queues:  make([][]noc.PacketRef, vnets),
+		sending: make([]txState, vnets),
 		out:     noc.NewOutputVCState(cfg.VCsTotal(), cfg.BufferDepth, true),
 		Stats:   st,
 	}
@@ -76,7 +83,7 @@ func (ni *NI) OutState() *noc.OutputVCState { return ni.out }
 
 // Connect wires the NI to its router through four channel endpoints
 // and registers the NI as the consumer of the two it pops.
-func (ni *NI) Connect(r *router.Router, send, recv *sim.Delay[*noc.Flit], credIn, credOut *sim.Delay[router.Signal]) {
+func (ni *NI) Connect(r *router.Router, send, recv *sim.Delay[noc.Flit], credIn, credOut *sim.Delay[router.Signal]) {
 	ni.router = r
 	ni.sendFlit, ni.recvFlit = send, recv
 	ni.credIn, ni.credOut = credIn, credOut
@@ -86,12 +93,16 @@ func (ni *NI) Connect(r *router.Router, send, recv *sim.Delay[*noc.Flit], credIn
 
 // Enqueue appends a generated packet to its vnet's source queue. The NI
 // and its router both tick this cycle: the NI has work, and a FLOV
-// router's idle detection sees the busy NI.
+// router's idle detection sees the busy NI. The packet must come from
+// the network's NewPacket (it lives in the network's arena).
 func (ni *NI) Enqueue(p *noc.Packet) {
 	if p.VNet < 0 || p.VNet >= len(ni.queues) {
 		panic(fmt.Sprintf("ni %d: packet %d has invalid vnet %d", ni.ID, p.ID, p.VNet))
 	}
-	ni.queues[p.VNet] = append(ni.queues[p.VNet], p)
+	if p.Size < 1 || p.Size > noc.MaxPacketSize {
+		panic(fmt.Sprintf("ni %d: packet %d has invalid size %d", ni.ID, p.ID, p.Size))
+	}
+	ni.queues[p.VNet] = append(ni.queues[p.VNet], p.Ref)
 	ni.rouse()
 }
 
@@ -117,7 +128,7 @@ func (ni *NI) Busy() bool {
 		return true
 	}
 	for _, tx := range ni.sending {
-		if tx != nil {
+		if tx.pkt != 0 {
 			return true
 		}
 	}
@@ -125,23 +136,20 @@ func (ni *NI) Busy() bool {
 }
 
 // DropWhere removes queued packets matching pred (classified fault
-// losses), invoking onDrop for each. Packets mid-serialization are left
-// alone — their flits are already in the network and are dropped at a
-// router once the whole packet is co-resident there.
+// losses), invoking onDrop for each and then freeing its arena slot.
+// Packets mid-serialization are left alone — their flits are already in
+// the network and are dropped at a router once the whole packet is
+// co-resident there.
 func (ni *NI) DropWhere(pred func(p *noc.Packet) bool, onDrop func(p *noc.Packet)) {
 	for v := range ni.queues {
 		kept := ni.queues[v][:0]
-		for _, p := range ni.queues[v] {
-			if pred(p) {
+		for _, h := range ni.queues[v] {
+			if p := ni.pkts.Get(h); pred(p) {
 				onDrop(p)
+				ni.pkts.Free(h)
 			} else {
-				kept = append(kept, p) //flovlint:allow hotalloc -- drop classification runs only under permanent faults
+				kept = append(kept, h) //flovlint:allow hotalloc -- drop classification runs only under permanent faults
 			}
-		}
-		// Zero the tail so dropped packets do not linger in the backing
-		// array.
-		for i := len(kept); i < len(ni.queues[v]); i++ {
-			ni.queues[v][i] = nil
 		}
 		ni.queues[v] = kept
 	}
@@ -152,13 +160,13 @@ func (ni *NI) DropWhere(pred func(p *noc.Packet) bool, onDrop func(p *noc.Packet
 // still have traffic headed their way).
 func (ni *NI) EachPending(fn func(p *noc.Packet)) {
 	for _, q := range ni.queues {
-		for _, p := range q {
-			fn(p)
+		for _, h := range q {
+			fn(ni.pkts.Get(h))
 		}
 	}
 	for _, tx := range ni.sending {
-		if tx != nil {
-			fn(tx.pkt)
+		if tx.pkt != 0 {
+			fn(ni.pkts.Get(tx.pkt))
 		}
 	}
 }
@@ -176,15 +184,14 @@ func (ni *NI) Tick(now int64) {
 // tick is one real NI cycle; afterwards the NI records whether it is
 // quiet and, if so, when its next input is due.
 func (ni *NI) tick(now int64) {
-	ni.credIn.Drain(now, func(s router.Signal) {
+	for s, ok := ni.credIn.Pop(now); ok; s, ok = ni.credIn.Pop(now) {
 		if s.IsCredit {
 			ni.out.Return(s.VC)
 		}
-	})
-
-	ni.recvFlit.Drain(now, func(f *noc.Flit) {
+	}
+	for f, ok := ni.recvFlit.Pop(now); ok; f, ok = ni.recvFlit.Pop(now) {
 		ni.eject(f, now)
-	})
+	}
 
 	ni.inject(now)
 
@@ -195,12 +202,13 @@ func (ni *NI) tick(now int64) {
 }
 
 // eject consumes one arriving flit, returning its buffer credit and
-// completing the packet on tail.
-func (ni *NI) eject(f *noc.Flit, now int64) {
-	ni.credOut.Push(now, router.CreditSignal(f.VC))
+// completing the packet on tail: once the statistics and OnDeliver have
+// seen it, the packet's arena slot is freed.
+func (ni *NI) eject(f noc.Flit, now int64) {
+	ni.credOut.Push(now, router.CreditSignal(int(f.VC)))
 	ni.Stats.NoteEjectedFlits(1)
 	if f.Type.IsTail() {
-		p := f.Pkt
+		p := ni.pkts.Get(f.Pkt)
 		if p.Dst != ni.ID {
 			panic(fmt.Sprintf("ni %d: misdelivered packet %d (dst %d)", ni.ID, p.ID, p.Dst))
 		}
@@ -212,6 +220,7 @@ func (ni *NI) eject(f *noc.Flit, now int64) {
 		if ni.OnDeliver != nil {
 			ni.OnDeliver(p, now)
 		}
+		ni.pkts.Free(f.Pkt)
 	}
 }
 
@@ -227,10 +236,10 @@ func (ni *NI) inject(now int64) {
 	// network can always drain to empty.
 	newOK := ni.CanInject == nil || ni.CanInject()
 	for v := 0; newOK && v < vnets; v++ {
-		if ni.sending[v] != nil || len(ni.queues[v]) == 0 {
+		if ni.sending[v].pkt != 0 || len(ni.queues[v]) == 0 {
 			continue
 		}
-		pkt := ni.queues[v][0]
+		h := ni.queues[v][0]
 		vc := ni.allocVC(v)
 		if vc < 0 {
 			continue
@@ -238,28 +247,28 @@ func (ni *NI) inject(now int64) {
 		copy(ni.queues[v], ni.queues[v][1:])
 		ni.queues[v] = ni.queues[v][:len(ni.queues[v])-1]
 		ni.out.Allocated[vc] = true
-		ni.sending[v] = &txState{pkt: pkt, flits: noc.MakePacketFlits(pkt), vc: vc}
+		ni.sending[v] = txState{pkt: h, size: ni.pkts.Get(h).Size, vc: vc}
 	}
 
 	// Send one flit, round-robin across vnets with active transmissions.
 	for i := 0; i < vnets; i++ {
 		v := (ni.vnetRR + i) % vnets
-		tx := ni.sending[v]
-		if tx == nil || ni.out.Credits[tx.vc] <= 0 {
+		tx := &ni.sending[v]
+		if tx.pkt == 0 || ni.out.Credits[tx.vc] <= 0 {
 			continue
 		}
-		f := tx.flits[tx.next]
-		f.VC = tx.vc
+		f := noc.NewFlit(tx.pkt, tx.next, tx.size)
+		f.VC = uint8(tx.vc)
 		if f.Type.IsHead() {
-			tx.pkt.InjectedAt = now
+			ni.pkts.Get(tx.pkt).InjectedAt = now
 		}
 		ni.out.Consume(tx.vc)
 		ni.sendFlit.Push(now, f)
 		ni.Stats.NoteInjectedFlits(1)
 		tx.next++
-		if tx.next == len(tx.flits) {
+		if tx.next == tx.size {
 			ni.out.Allocated[tx.vc] = false
-			ni.sending[v] = nil
+			*tx = txState{}
 		}
 		ni.vnetRR = (v + 1) % vnets
 		return

@@ -34,13 +34,13 @@ func (ni *NI) CaptureState(t *noc.PacketTable) NIState {
 	s := NIState{Out: ni.out.CaptureState(), VnetRR: ni.vnetRR}
 	for _, q := range ni.queues {
 		refs := make([]int, 0, len(q))
-		for _, p := range q {
-			refs = append(refs, t.Ref(p))
+		for _, h := range q {
+			refs = append(refs, t.Ref(h))
 		}
 		s.Queues = append(s.Queues, refs)
 	}
 	for _, tx := range ni.sending {
-		if tx == nil {
+		if tx.pkt == 0 {
 			s.Sending = append(s.Sending, TxSnap{})
 			continue
 		}
@@ -49,11 +49,11 @@ func (ni *NI) CaptureState(t *noc.PacketTable) NIState {
 	return s
 }
 
-// RestoreState overwrites the NI's mutable state. In-flight flit trains
-// are rebuilt from the packet; flits already injected (index < next)
-// live in router buffers or on links and are restored there, so the
-// rebuilt slots below next are never read again.
-func (ni *NI) RestoreState(s NIState, pkts []*noc.Packet) error {
+// RestoreState overwrites the NI's mutable state. An in-flight
+// transmission resumes at flit Next of its packet; flits already
+// injected live in router buffers or on links and are restored there.
+// pkts maps packet-table indices to the restored packets' handles.
+func (ni *NI) RestoreState(s NIState, pkts []noc.PacketRef) error {
 	if len(s.Queues) != len(ni.queues) || len(s.Sending) != len(ni.sending) {
 		return fmt.Errorf("ni %d: snapshot has %d vnets, NI has %d", ni.ID, len(s.Queues), len(ni.queues))
 	}
@@ -69,15 +69,15 @@ func (ni *NI) RestoreState(s NIState, pkts []*noc.Packet) error {
 	for v := range ni.sending {
 		tx := s.Sending[v]
 		if !tx.Present {
-			ni.sending[v] = nil
+			ni.sending[v] = txState{}
 			continue
 		}
-		pkt := pkts[tx.Pkt]
-		st := &txState{pkt: pkt, flits: noc.MakePacketFlits(pkt), next: tx.Next, vc: tx.VC}
-		for _, f := range st.flits {
-			f.VC = tx.VC
+		h := pkts[tx.Pkt]
+		size := ni.pkts.Get(h).Size
+		if tx.Next < 0 || tx.Next >= size || tx.VC < 0 || tx.VC >= len(ni.out.Credits) {
+			return fmt.Errorf("ni %d vnet %d: in-flight transmission at flit %d on vc %d of a %d-flit packet", ni.ID, v, tx.Next, tx.VC, size)
 		}
-		ni.sending[v] = st
+		ni.sending[v] = txState{pkt: h, size: size, next: tx.Next, vc: tx.VC}
 	}
 	ni.out.RestoreState(s.Out)
 	ni.vnetRR = s.VnetRR
@@ -146,7 +146,7 @@ func (n *Network) CaptureState(t *noc.PacketTable) State {
 // (package snapshot verifies that before calling). Derived state that
 // follows the gating mask (the generator's active list) is rebuilt here;
 // mechanism-internal state is restored separately by its own section.
-func (n *Network) RestoreState(s State, pkts []*noc.Packet) error {
+func (n *Network) RestoreState(s State, pkts []noc.PacketRef) error {
 	if len(s.Routers) != len(n.Routers) || len(s.NIs) != len(n.NIs) {
 		return fmt.Errorf("network: snapshot has %d routers, network has %d", len(s.Routers), len(n.Routers))
 	}

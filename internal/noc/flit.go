@@ -3,7 +3,10 @@
 // channel state machines and per-VC input buffers.
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FlitType classifies a flit's position inside its packet.
 type FlitType uint8
@@ -38,8 +41,9 @@ func (t FlitType) IsHead() bool { return t == Head || t == HeadTail }
 // IsTail reports whether the flit closes its packet (releases VCs).
 func (t FlitType) IsTail() bool { return t == Tail || t == HeadTail }
 
-// Packet is the unit of end-to-end communication. Flits of one packet
-// share a pointer to it; latency accounting accumulates here.
+// Packet is the unit of end-to-end communication. Packets live in their
+// network's Arena; flits name them by handle, and latency accounting
+// accumulates here.
 type Packet struct {
 	ID   uint64
 	Src  int // source node id
@@ -61,6 +65,9 @@ type Packet struct {
 	// Watermark for reply generation in the closed-loop driver.
 	ReplyTo uint64 // request packet id this packet answers, 0 if none
 	Kind    uint8  // workload-defined tag (request/reply/data...)
+
+	// Ref is the packet's own handle in its arena, set by Alloc.
+	Ref PacketRef //flovsnap:skip arena slot of this run; a restore allocates fresh slots
 }
 
 // TotalLatency returns end-to-end latency including source queuing.
@@ -70,35 +77,39 @@ func (p *Packet) TotalLatency() int64 { return p.EjectedAt - p.CreatedAt }
 // ejection (excludes source queuing).
 func (p *Packet) NetworkLatency() int64 { return p.EjectedAt - p.InjectedAt }
 
-// Flit is the unit of flow control. Flits are created once at injection
-// and mutated in place as they traverse the network (the VC field tracks
-// the downstream VC the flit currently occupies/targets).
+// MaxPacketSize is the largest packet, in flits, a Flit's Seq can number.
+const MaxPacketSize = math.MaxUint16 + 1
+
+// Flit is the unit of flow control: a small pointer-free value copied
+// through link queues, input buffers and FLOV latches. Pkt names the
+// packet in the network's Arena; the zero Flit (Pkt 0) means "no flit".
+// VC is the VC index in the *downstream* input buffer the flit is headed
+// to, rewritten at every hop.
 type Flit struct {
-	Pkt  *Packet
+	Pkt  PacketRef
+	Seq  uint16 // position within the packet, 0-based
+	VC   uint8
 	Type FlitType
-	Seq  int // position within the packet, 0-based
-	VC   int // VC index in the *downstream* input buffer this flit is headed to
 }
 
-// String renders a compact debug representation.
-func (f *Flit) String() string {
-	return fmt.Sprintf("pkt%d/%s%d vc%d %d->%d", f.Pkt.ID, f.Type, f.Seq, f.VC, f.Pkt.Src, f.Pkt.Dst)
-}
-
-// MakePacketFlits builds the flit train for a packet.
-func MakePacketFlits(p *Packet) []*Flit {
-	flits := make([]*Flit, p.Size) //flovlint:allow hotalloc -- per-packet flit construction; pooling is the cycle-kernel rewrite (ROADMAP)
-	for i := 0; i < p.Size; i++ {
-		t := Body
-		switch {
-		case p.Size == 1:
-			t = HeadTail
-		case i == 0:
-			t = Head
-		case i == p.Size-1:
-			t = Tail
-		}
-		flits[i] = &Flit{Pkt: p, Type: t, Seq: i}
+// NewFlit returns flit seq of the size-flit packet h, typed by its
+// position: the first flit is the Head, the last the Tail, a one-flit
+// packet HeadTail. Its VC is unset.
+func NewFlit(h PacketRef, seq, size int) Flit {
+	t := Body
+	switch {
+	case size == 1:
+		t = HeadTail
+	case seq == 0:
+		t = Head
+	case seq == size-1:
+		t = Tail
 	}
-	return flits
+	return Flit{Pkt: h, Seq: uint16(seq), Type: t}
+}
+
+// String renders a compact debug representation naming the packet by
+// handle; Arena.Describe names it by ID with its route.
+func (f Flit) String() string {
+	return fmt.Sprintf("h%d/%s%d vc%d", f.Pkt, f.Type, f.Seq, f.VC)
 }

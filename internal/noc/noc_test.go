@@ -22,22 +22,26 @@ func TestFlitTypes(t *testing.T) {
 	}
 }
 
-func TestMakePacketFlits(t *testing.T) {
-	p := &Packet{ID: 1, Size: 4}
-	fl := MakePacketFlits(p)
-	if len(fl) != 4 {
-		t.Fatalf("got %d flits", len(fl))
+// train returns the flit train of a size-flit packet with handle h.
+func train(h PacketRef, size int) []Flit {
+	fl := make([]Flit, size)
+	for i := range fl {
+		fl[i] = NewFlit(h, i, size)
 	}
+	return fl
+}
+
+func TestNewFlitTrain(t *testing.T) {
+	fl := train(7, 4)
 	if fl[0].Type != Head || fl[1].Type != Body || fl[2].Type != Body || fl[3].Type != Tail {
 		t.Fatalf("flit train types wrong: %v %v %v %v", fl[0].Type, fl[1].Type, fl[2].Type, fl[3].Type)
 	}
 	for i, f := range fl {
-		if f.Seq != i || f.Pkt != p {
-			t.Fatalf("flit %d mis-built", i)
+		if int(f.Seq) != i || f.Pkt != 7 || f.VC != 0 {
+			t.Fatalf("flit %d mis-built: %v", i, f)
 		}
 	}
-	single := MakePacketFlits(&Packet{Size: 1})
-	if len(single) != 1 || single[0].Type != HeadTail {
+	if single := NewFlit(7, 0, 1); single.Type != HeadTail {
 		t.Fatal("single-flit packet must be HeadTail")
 	}
 }
@@ -51,8 +55,7 @@ func TestPacketLatencies(t *testing.T) {
 
 func TestInputVCFIFO(t *testing.T) {
 	v := NewInputVC(0, 6)
-	p := &Packet{Size: 3}
-	fl := MakePacketFlits(p)
+	fl := train(1, 3)
 	for i, f := range fl {
 		v.Push(f, int64(i))
 	}
@@ -74,8 +77,7 @@ func TestInputVCFIFO(t *testing.T) {
 
 func TestInputVCOverflowPanics(t *testing.T) {
 	v := NewInputVC(0, 2)
-	p := &Packet{Size: 3}
-	fl := MakePacketFlits(p)
+	fl := train(1, 3)
 	v.Push(fl[0], 0)
 	v.Push(fl[1], 0)
 	defer func() {
@@ -88,7 +90,7 @@ func TestInputVCOverflowPanics(t *testing.T) {
 
 func TestInputVCResetRequiresEmpty(t *testing.T) {
 	v := NewInputVC(0, 4)
-	v.Push(MakePacketFlits(&Packet{Size: 1})[0], 0)
+	v.Push(NewFlit(1, 0, 1), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic resetting non-empty VC")
@@ -116,11 +118,11 @@ func TestInputVCFIFOProperty(t *testing.T) {
 		var next, expect int
 		for _, push := range ops {
 			if push && !v.Full() {
-				f := &Flit{Seq: next, Pkt: &Packet{}}
+				f := Flit{Seq: uint16(next), Pkt: 1}
 				next++
 				v.Push(f, 0)
 			} else if !push && !v.Empty() {
-				if v.Pop().Seq != expect {
+				if int(v.Pop().Seq) != expect {
 					return false
 				}
 				expect++
@@ -197,6 +199,82 @@ func TestVCStateString(t *testing.T) {
 	for s, str := range want {
 		if s.String() != str {
 			t.Errorf("%d.String() = %q", int(s), s.String())
+		}
+	}
+}
+
+func TestArenaHandlesAndReuse(t *testing.T) {
+	a := NewArena()
+	p := a.Alloc()
+	if p.Ref == 0 || a.Get(p.Ref) != p || !a.IsLive(p.Ref) || a.Live() != 1 {
+		t.Fatalf("first alloc: ref %d live %d", p.Ref, a.Live())
+	}
+	p.ID = 42
+	// Growth past several chunks must not move a live packet.
+	refs := []PacketRef{p.Ref}
+	for i := 0; i < 3*chunkSize; i++ {
+		refs = append(refs, a.Alloc().Ref)
+	}
+	if a.Get(p.Ref) != p || p.ID != 42 {
+		t.Fatal("live packet moved or changed while the arena grew")
+	}
+	seen := map[PacketRef]bool{}
+	for _, h := range refs {
+		if h == 0 || seen[h] {
+			t.Fatalf("handle %d handed out twice or zero", h)
+		}
+		seen[h] = true
+	}
+	// Freed slots come back last-in first-out, zeroed but for Ref.
+	a.Free(refs[5])
+	a.Free(refs[9])
+	if q := a.Alloc(); q.Ref != refs[9] || q.ID != 0 {
+		t.Fatalf("reuse: got %d (id %d), want %d zeroed", q.Ref, q.ID, refs[9])
+	}
+	if a.Live() != len(refs)-1 || a.IsLive(refs[5]) {
+		t.Fatalf("live count %d after one net free of %d", a.Live(), len(refs))
+	}
+	if h := a.Add(Packet{ID: 7, Size: 2}); a.Get(h).ID != 7 || a.Get(h).Ref != h {
+		t.Fatal("Add did not copy the packet into its own slot")
+	}
+	a.Reset()
+	if a.Live() != 0 || a.IsLive(p.Ref) || a.Alloc().Ref != 1 {
+		t.Fatal("Reset left live handles")
+	}
+}
+
+func TestArenaDoubleFreePanics(t *testing.T) {
+	a := NewArena()
+	h := a.Alloc().Ref
+	a.Free(h)
+	for _, bad := range []PacketRef{h, 0, 99} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Free(%d) of a slot that is not live did not panic", bad)
+				}
+			}()
+			a.Free(bad)
+		}()
+	}
+}
+
+func TestFlitStateValidate(t *testing.T) {
+	pkts := []PacketState{{Size: 4}}
+	good := FlitState{Pkt: 0, Type: Tail, Seq: 3, VC: 5}
+	if err := good.Validate(pkts, 6); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []FlitState{
+		{Pkt: 1, Seq: 0, VC: 0},
+		{Pkt: -1},
+		{Pkt: 0, Type: HeadTail + 1},
+		{Pkt: 0, Seq: 4},
+		{Pkt: 0, VC: 6},
+		{Pkt: 0, VC: -1},
+	} {
+		if bad.Validate(pkts, 6) == nil {
+			t.Errorf("%+v accepted", bad)
 		}
 	}
 }

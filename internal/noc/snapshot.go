@@ -1,12 +1,17 @@
 package noc
 
-import "flov/internal/topology"
+import (
+	"fmt"
+
+	"flov/internal/topology"
+)
 
 // This file holds the serializable state forms of the package's types,
-// used by the checkpoint subsystem (internal/snapshot). Flits of one
-// packet share a *Packet, so packet identity is preserved across a
-// save/restore by registering every live packet in a PacketTable and
-// encoding flits as (packet index, type, seq, vc).
+// used by the checkpoint subsystem (internal/snapshot). Flits name their
+// packet by arena handle; a capture registers every packet reachable
+// from a flit or queue in a PacketTable and encodes flits as (packet
+// index, type, seq, vc). Handles themselves are never written, so the
+// wire form does not depend on arena layout.
 
 // PacketState is the serializable form of a Packet (plain data, no
 // pointers).
@@ -37,9 +42,9 @@ func CapturePacket(p *Packet) PacketState {
 	}
 }
 
-// Materialize rebuilds a live packet from its serializable form.
-func (s PacketState) Materialize() *Packet {
-	return &Packet{
+// Materialize rebuilds a packet from its serializable form.
+func (s PacketState) Materialize() Packet {
+	return Packet{
 		ID: s.ID, Src: s.Src, Dst: s.Dst, VNet: s.VNet, Size: s.Size,
 		CreatedAt: s.CreatedAt, InjectedAt: s.InjectedAt, EjectedAt: s.EjectedAt,
 		ActiveHops: s.ActiveHops, FLOVHops: s.FLOVHops, LinkHops: s.LinkHops,
@@ -47,28 +52,31 @@ func (s PacketState) Materialize() *Packet {
 	}
 }
 
-// PacketTable assigns dense indices to the unique live packets reached
-// during a state capture, in first-seen order. The traversal order is
-// deterministic (the capture walks routers, NIs and links in id order),
-// so two captures of identical networks yield identical tables.
+// PacketTable assigns dense indices to the unique live packets of an
+// arena reached during a state capture, in first-seen order. The
+// traversal order is deterministic (the capture walks routers, NIs and
+// links in id order), so two captures of identical networks yield
+// identical tables whatever handles their arenas handed out.
 type PacketTable struct {
-	idx  map[*Packet]int
-	List []*Packet
+	arena *Arena
+	idx   map[PacketRef]int
+	List  []*Packet
 }
 
-// NewPacketTable returns an empty table.
-func NewPacketTable() *PacketTable {
-	return &PacketTable{idx: make(map[*Packet]int)}
+// NewPacketTable returns an empty table over the packets of a.
+func NewPacketTable(a *Arena) *PacketTable {
+	return &PacketTable{arena: a, idx: make(map[PacketRef]int)}
 }
 
-// Ref returns the packet's index, registering it on first sight.
-func (t *PacketTable) Ref(p *Packet) int {
-	if i, ok := t.idx[p]; ok {
+// Ref returns the index of the packet h names, registering it on first
+// sight.
+func (t *PacketTable) Ref(h PacketRef) int {
+	if i, ok := t.idx[h]; ok {
 		return i
 	}
 	i := len(t.List)
-	t.idx[p] = i
-	t.List = append(t.List, p)
+	t.idx[h] = i
+	t.List = append(t.List, t.arena.Get(h))
 	return i
 }
 
@@ -83,16 +91,31 @@ type FlitState struct {
 
 // CaptureFlit registers the flit's packet and returns the flit's
 // serializable form.
-func CaptureFlit(t *PacketTable, f *Flit) FlitState {
-	return FlitState{Pkt: t.Ref(f.Pkt), Type: f.Type, Seq: f.Seq, VC: f.VC}
+func CaptureFlit(t *PacketTable, f Flit) FlitState {
+	return FlitState{Pkt: t.Ref(f.Pkt), Type: f.Type, Seq: int(f.Seq), VC: int(f.VC)}
 }
 
-// Materialize rebuilds a live flit against the restored packet list.
-// Each captured flit site materializes its own *Flit: a live flit
-// pointer occupies exactly one buffer or queue slot at a time, so
-// flit-pointer identity never spans sites.
-func (s FlitState) Materialize(pkts []*Packet) *Flit {
-	return &Flit{Pkt: pkts[s.Pkt], Type: s.Type, Seq: s.Seq, VC: s.VC}
+// Validate checks that the flit's fields fit a Flit of a packet of
+// pkts (indexed by Pkt) on a router with vcs VCs per port, so
+// Materialize neither indexes out of range nor truncates.
+func (s FlitState) Validate(pkts []PacketState, vcs int) error {
+	switch {
+	case s.Pkt < 0 || s.Pkt >= len(pkts):
+		return fmt.Errorf("flit references packet %d of %d", s.Pkt, len(pkts))
+	case s.Type > HeadTail:
+		return fmt.Errorf("flit has invalid type %d", s.Type)
+	case s.Seq < 0 || s.Seq >= pkts[s.Pkt].Size:
+		return fmt.Errorf("flit seq %d outside its %d-flit packet", s.Seq, pkts[s.Pkt].Size)
+	case s.VC < 0 || s.VC >= vcs:
+		return fmt.Errorf("flit vc %d outside [0,%d)", s.VC, vcs)
+	}
+	return nil
+}
+
+// Materialize rebuilds a flit against the restored packets' handles
+// (call only on a validated state).
+func (s FlitState) Materialize(pkts []PacketRef) Flit {
+	return Flit{Pkt: pkts[s.Pkt], Type: s.Type, Seq: uint16(s.Seq), VC: uint8(s.VC)}
 }
 
 // InputVCState is the serializable form of an InputVC: pipeline state,
@@ -124,7 +147,7 @@ func (v *InputVC) CaptureState(t *PacketTable) InputVCState {
 
 // RestoreState overwrites the VC's mutable state from a capture. Index
 // and capacity are kept (the receiver was built from the same config).
-func (v *InputVC) RestoreState(s InputVCState, pkts []*Packet) {
+func (v *InputVC) RestoreState(s InputVCState, pkts []PacketRef) {
 	v.State = s.State
 	v.OutDir = s.OutDir
 	v.OutVC = s.OutVC

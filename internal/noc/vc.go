@@ -39,7 +39,7 @@ func (s VCState) String() string {
 // router pipeline depth: a flit may not traverse the switch before
 // arrival + (stages-1)).
 type bufEntry struct {
-	flit    *Flit
+	flit    Flit
 	arrived int64
 }
 
@@ -84,7 +84,7 @@ func (v *InputVC) Full() bool { return len(v.buf) >= v.capacity }
 // Push buffers an arriving flit. It panics on overflow — an overflow means
 // the credit protocol was violated, which is a simulator bug worth failing
 // loudly on.
-func (v *InputVC) Push(f *Flit, now int64) {
+func (v *InputVC) Push(f Flit, now int64) {
 	if v.Full() {
 		panic(fmt.Sprintf("noc: input VC %d overflow (credit protocol violation) on %s", v.Index, f))
 	}
@@ -92,10 +92,10 @@ func (v *InputVC) Push(f *Flit, now int64) {
 }
 
 // Front returns the flit at the head of the buffer without removing it,
-// or nil if empty.
-func (v *InputVC) Front() *Flit {
+// or the zero Flit (Pkt 0) if empty.
+func (v *InputVC) Front() Flit {
 	if len(v.buf) == 0 {
-		return nil
+		return Flit{}
 	}
 	return v.buf[0].flit
 }
@@ -103,14 +103,14 @@ func (v *InputVC) Front() *Flit {
 // At returns the i-th buffered flit (0 = front) without removing it; used
 // by the fault-drop path to check a whole packet is resident. Call only
 // with i < Len().
-func (v *InputVC) At(i int) *Flit { return v.buf[i].flit }
+func (v *InputVC) At(i int) Flit { return v.buf[i].flit }
 
 // FrontArrived returns the arrival cycle of the front flit; call only when
 // non-empty.
 func (v *InputVC) FrontArrived() int64 { return v.buf[0].arrived }
 
 // Pop removes and returns the front flit; call only when non-empty.
-func (v *InputVC) Pop() *Flit {
+func (v *InputVC) Pop() Flit {
 	f := v.buf[0].flit
 	copy(v.buf, v.buf[1:])
 	v.buf = v.buf[:len(v.buf)-1]

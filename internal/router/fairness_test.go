@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"flov/internal/config"
-	"flov/internal/noc"
 )
 
 // Switch allocation must never grant two flits to one output port (or
@@ -14,17 +13,14 @@ func TestSAOneFlitPerPortPerCycle(t *testing.T) {
 	h := newHarness(t, cfg)
 	// Saturate: three packets on distinct input VCs, all wanting East.
 	for i := 0; i < 3; i++ {
-		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
-			f.VC = i
+		ref, _ := h.packet(uint64(i+1), 0, 1, 4)
+		for j, f := range h.flits(ref, i) {
 			h.localIn.Push(int64(j), f)
 		}
 	}
 	for h.now < 40 {
 		h.step()
-		count := 0
-		h.eastOut.Drain(h.now, func(*noc.Flit) { count++ })
-		if count > 1 {
+		if count := len(popAll(h.eastOut, h.now)); count > 1 {
 			t.Fatalf("cycle %d: %d flits crossed one output port", h.now, count)
 		}
 	}
@@ -36,22 +32,21 @@ func TestVAFairness(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
 	for i := 0; i < 3; i++ {
-		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
-			f.VC = i
+		ref, _ := h.packet(uint64(i+1), 0, 1, 4)
+		for j, f := range h.flits(ref, i) {
 			h.localIn.Push(int64(i*4+j), f)
 		}
 	}
 	delivered := map[uint64]bool{}
 	for h.now < 80 {
 		h.step()
-		h.eastOut.Drain(h.now, func(f *noc.Flit) {
+		for _, f := range popAll(h.eastOut, h.now) {
 			if f.Type.IsTail() {
-				delivered[f.Pkt.ID] = true
+				delivered[h.r.Pkts.Get(f.Pkt).ID] = true
 			}
 			// Echo credits so nothing starves on flow control.
-			h.eastCred.Push(h.now, CreditSignal(f.VC))
-		})
+			h.eastCred.Push(h.now, CreditSignal(int(f.VC)))
+		}
 	}
 	for id := uint64(1); id <= 3; id++ {
 		if !delivered[id] {
@@ -66,21 +61,21 @@ func TestVADistinctDownstreamVCs(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
 	for i := 0; i < 2; i++ {
-		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
-			f.VC = i
+		ref, _ := h.packet(uint64(i+1), 0, 1, 4)
+		for j, f := range h.flits(ref, i) {
 			h.localIn.Push(int64(j), f)
 		}
 	}
 	seen := map[uint64]int{}
 	for h.now < 40 {
 		h.step()
-		h.eastOut.Drain(h.now, func(f *noc.Flit) {
-			if prev, ok := seen[f.Pkt.ID]; ok && prev != f.VC {
-				t.Fatalf("packet %d changed downstream VC mid-flight: %d -> %d", f.Pkt.ID, prev, f.VC)
+		for _, f := range popAll(h.eastOut, h.now) {
+			id, vc := h.r.Pkts.Get(f.Pkt).ID, int(f.VC)
+			if prev, ok := seen[id]; ok && prev != vc {
+				t.Fatalf("packet %d changed downstream VC mid-flight: %d -> %d", id, prev, vc)
 			}
-			seen[f.Pkt.ID] = f.VC
-		})
+			seen[id] = vc
+		}
 	}
 	if len(seen) == 2 && seen[1] == seen[2] {
 		t.Fatalf("both in-flight packets share downstream VC %d", seen[1])

@@ -41,9 +41,8 @@ func TestMasksSurviveCaptureRestore(t *testing.T) {
 	// in SA.
 	h.r.Out(topology.East).Credits[1] = 0
 	for i := 0; i < 3; i++ {
-		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
-			f.VC = i
+		ref, _ := h.packet(uint64(i+1), 0, 1, 4)
+		for j, f := range h.flits(ref, i) {
 			h.localIn.Push(int64(2*i+j), f)
 		}
 	}
@@ -61,10 +60,15 @@ func TestMasksSurviveCaptureRestore(t *testing.T) {
 		if want := recountMasks(h.r); orig != want {
 			t.Fatalf("cycle %d: masks %v, recount %v", h.now, orig, want)
 		}
-		tab := noc.NewPacketTable()
+		tab := noc.NewPacketTable(h.r.Pkts)
 		s := h.r.CaptureState(tab)
-		fresh := New(0, cfg, h.r.Mesh, power.NewLedger(power.NewModel(cfg)))
-		if err := fresh.RestoreState(s, tab.List); err != nil {
+		pkts := noc.NewArena()
+		refs := make([]noc.PacketRef, len(tab.List))
+		for i, p := range tab.List {
+			refs[i] = pkts.Add(*p)
+		}
+		fresh := New(0, cfg, h.r.Mesh, power.NewLedger(power.NewModel(cfg)), pkts)
+		if err := fresh.RestoreState(s, refs); err != nil {
 			t.Fatal(err)
 		}
 		if got := masksOf(fresh); got != orig {

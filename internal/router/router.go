@@ -67,10 +67,10 @@ type FaultHook interface {
 // edges the non-existent neighbor's queues are nil. The Local port links
 // the router to its network interface with the same machinery.
 type PortLink struct {
-	OutFlit *sim.Delay[*noc.Flit] // flits to the neighbor/NI
-	InFlit  *sim.Delay[*noc.Flit] // flits from the neighbor/NI
-	OutCtrl *sim.Delay[Signal]    // credits+control to the neighbor/NI
-	InCtrl  *sim.Delay[Signal]    // credits+control from the neighbor/NI
+	OutFlit *sim.Delay[noc.Flit] // flits to the neighbor/NI
+	InFlit  *sim.Delay[noc.Flit] // flits from the neighbor/NI
+	OutCtrl *sim.Delay[Signal]   // credits+control to the neighbor/NI
+	InCtrl  *sim.Delay[Signal]   // credits+control from the neighbor/NI
 }
 
 // Connected reports whether this port has a neighbor attached.
@@ -130,6 +130,9 @@ type Router struct {
 	skipped int //flovsnap:skip folded into InPtr by CaptureState, zeroed by RestoreState
 
 	Ledger *power.Ledger //flovsnap:skip wiring installed by network.New
+	// Pkts is the network's packet arena: buffered flits name their
+	// packets by handle in it.
+	Pkts *noc.Arena //flovsnap:skip wiring installed by network.New; packets are captured through the flits that name them
 
 	// Wrapper, when set, is the power-gating wrapper whose Tick and
 	// Quiet drive this router each cycle (FLOV). nil means the router
@@ -148,27 +151,21 @@ type Router struct {
 	vaPtr [topology.NumPorts]int
 	saPtr [topology.NumPorts]int
 
-	// Per-cycle scratch buffers, reused so the VA stage allocates nothing
-	// in steady state. Contents are only valid within one stage call.
-	vcScratch []int       //flovsnap:skip scratch, valid only within one stage call
-	vaScratch []saRequest //flovsnap:skip scratch, valid only within one stage call
-
 	// Traversals counts flits switched through this router's crossbar
 	// (utilization heat maps).
 	Traversals int64
 }
 
 // New builds a router with empty buffers and full credits on every
-// connected output. Channels must be wired into Ports by the caller
-// (package network) before the first Tick.
-func New(id int, cfg config.Config, mesh topology.Mesh, ledger *power.Ledger) *Router {
-	r := &Router{ID: id, Cfg: cfg, Mesh: mesh, Ledger: ledger}
+// connected output; its flits name packets in pkts. Channels must be
+// wired into Ports by the caller (package network) before the first
+// Tick.
+func New(id int, cfg config.Config, mesh topology.Mesh, ledger *power.Ledger, pkts *noc.Arena) *Router {
+	r := &Router{ID: id, Cfg: cfg, Mesh: mesh, Ledger: ledger, Pkts: pkts}
 	vcs := cfg.VCsTotal()
 	if vcs > config.MaxVCsTotal {
 		panic(fmt.Sprintf("router %d: %d VCs per port exceed the %d-bit state masks", id, vcs, config.MaxVCsTotal))
 	}
-	r.vcScratch = make([]int, 0, vcs)
-	r.vaScratch = make([]saRequest, 0, int(topology.NumPorts)*vcs)
 	for p := 0; p < int(topology.NumPorts); p++ {
 		r.in[p] = make([]*noc.InputVC, vcs)
 		for v := 0; v < vcs; v++ {
@@ -376,26 +373,28 @@ func (r *Router) processCtrl(now int64) {
 		if q == nil {
 			continue
 		}
-		q.Drain(now, func(s Signal) {
-			if s.IsCredit {
-				if r.DropCredit != nil && r.DropCredit(topology.Direction(p)) {
-					if TraceCredit != nil {
-						TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "drop")
-					}
-					return
+		for s, ok := q.Pop(now); ok; s, ok = q.Pop(now) {
+			if !s.IsCredit {
+				if r.OnCtrl != nil {
+					r.OnCtrl(topology.Direction(p), s.Msg)
 				}
-				if r.out[p].Credits[s.VC] >= r.out[p].Depth() {
-					panic(fmt.Sprintf("router %d: duplicate credit on port %s vc %d at cycle %d",
-						r.ID, topology.Direction(p), s.VC, now))
-				}
-				r.out[p].Return(s.VC)
-				if TraceCredit != nil {
-					TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "return")
-				}
-			} else if r.OnCtrl != nil {
-				r.OnCtrl(topology.Direction(p), s.Msg)
+				continue
 			}
-		})
+			if r.DropCredit != nil && r.DropCredit(topology.Direction(p)) {
+				if TraceCredit != nil {
+					TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "drop")
+				}
+				continue
+			}
+			if r.out[p].Credits[s.VC] >= r.out[p].Depth() {
+				panic(fmt.Sprintf("router %d: duplicate credit on port %s vc %d at cycle %d",
+					r.ID, topology.Direction(p), s.VC, now))
+			}
+			r.out[p].Return(s.VC)
+			if TraceCredit != nil {
+				TraceCredit(r.ID, topology.Direction(p), s.VC, r.out[p].Credits[s.VC], "return")
+			}
+		}
 	}
 }
 
@@ -406,19 +405,18 @@ func (r *Router) receive(now int64) {
 		if q == nil {
 			continue
 		}
-		q.Drain(now, func(f *noc.Flit) {
+		for f, ok := q.Pop(now); ok; f, ok = q.Pop(now) {
 			r.acceptFlit(topology.Direction(p), f, now)
-		})
+		}
 	}
 }
 
-// acceptFlit writes one flit into its input VC. Exposed to the FLOV
-// wrapper, which feeds flits arriving during power-state transitions.
-func (r *Router) acceptFlit(p topology.Direction, f *noc.Flit, now int64) {
+// acceptFlit writes one flit into its input VC.
+func (r *Router) acceptFlit(p topology.Direction, f noc.Flit, now int64) {
 	ivc := r.in[p][f.VC]
 	if ivc.State == noc.VCIdle {
 		if !f.Type.IsHead() {
-			panic(fmt.Sprintf("router %d: non-head flit %s into idle VC %d on port %s", r.ID, f, f.VC, p))
+			panic(fmt.Sprintf("router %d: non-head flit %s into idle VC %d on port %s", r.ID, r.Pkts.Describe(f), f.VC, p))
 		}
 		r.setState(p, ivc, noc.VCRouting)
 		ivc.WaitSince = now
@@ -435,13 +433,13 @@ func (r *Router) stageRC(now int64) {
 		for m := r.mask[noc.VCRouting][p]; m != 0; m &= m - 1 {
 			ivc := r.in[p][bits.TrailingZeros64(m)]
 			f := ivc.Front()
-			if f == nil {
+			if f.Pkt == 0 {
 				continue
 			}
 			if !f.Type.IsHead() {
-				panic(fmt.Sprintf("router %d: RC on non-head flit %s", r.ID, f))
+				panic(fmt.Sprintf("router %d: RC on non-head flit %s", r.ID, r.Pkts.Describe(f)))
 			}
-			pkt := f.Pkt
+			pkt := r.Pkts.Get(f.Pkt)
 			// Duato-style recovery: a head stalled beyond the threshold
 			// moves to the escape subnetwork and stays there.
 			if !pkt.Escape && now-ivc.WaitSince > int64(r.Cfg.EscapeTimeout) {
@@ -471,123 +469,136 @@ func (r *Router) stageRC(now int64) {
 	}
 }
 
-// candidateVCs returns the downstream VC indices a packet may be
-// allocated: regular VCs of its vnet, or the escape VC once the packet
-// has entered the escape subnetwork. Ejection (Local) frees the packet
-// from the escape restriction — any VC of the vnet works at the NI.
-func (r *Router) candidateVCs(pkt *noc.Packet, outDir topology.Direction) []int {
+// freeVC returns the downstream VC on output outDir to allocate a
+// packet, or -1 if none is free: the lowest free regular VC of its vnet,
+// or the escape VC once the packet has entered the escape subnetwork.
+// Ejection (Local) frees the packet from the escape restriction — any
+// VC of the vnet works at the NI.
+func (r *Router) freeVC(pkt *noc.Packet, outDir topology.Direction) int {
+	allocated := r.out[outDir].Allocated
 	if pkt.Escape && outDir != topology.Local {
-		r.vcScratch = append(r.vcScratch[:0], r.Cfg.EscapeVC(pkt.VNet))
-		return r.vcScratch
+		if vc := r.Cfg.EscapeVC(pkt.VNet); !allocated[vc] {
+			return vc
+		}
+		return -1
 	}
 	base := r.Cfg.VCBase(pkt.VNet)
-	r.vcScratch = r.vcScratch[:0]
-	for i := 0; i < r.Cfg.VCsPerVNet; i++ {
-		r.vcScratch = append(r.vcScratch, base+i)
+	for vc := base; vc < base+r.Cfg.VCsPerVNet; vc++ {
+		if !allocated[vc] {
+			return vc
+		}
 	}
-	return r.vcScratch
+	return -1
 }
 
 // stageVA allocates downstream VCs to packets that completed RC at least
 // one cycle ago (separable, per-output round-robin across input VCs).
+//
+// One pass over the WaitVC masks sorts the eligible requesters into
+// per-output masks, indexed [output][input port]; visiting them port by
+// port, VC by VC, yields each output's requesters in (port, VC) order.
+// A requester asks for one output only, and serving one output moves
+// only its own requesters out of WaitVC, so the masks stay exact while
+// the outputs are served in turn.
 func (r *Router) stageVA(now int64) {
-	var waiting uint64
-	for _, m := range r.mask[noc.VCWaitVC] {
-		waiting |= m
-	}
-	if waiting == 0 {
-		return // no requester on any output
+	var reqs [topology.NumPorts][topology.NumPorts]uint64
+	var count [topology.NumPorts]int
+	for p := 0; p < int(topology.NumPorts); p++ {
+		for m := r.mask[noc.VCWaitVC][p]; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			if ivc := r.in[p][v]; ivc.RCCycle < now {
+				reqs[ivc.OutDir][p] |= 1 << uint(v)
+				count[ivc.OutDir]++
+			}
+		}
 	}
 	for out := 0; out < int(topology.NumPorts); out++ {
-		outDir := topology.Direction(out)
-		if !r.Ports[out].Connected() {
+		if count[out] == 0 || !r.Ports[out].Connected() {
 			continue
 		}
-		// Gather requesters for this output from the live WaitVC masks
-		// (reused scratch: gathering afresh per output allocates nothing
-		// in steady state).
-		r.vaScratch = r.vaScratch[:0]
-		for p := 0; p < int(topology.NumPorts); p++ {
-			for m := r.mask[noc.VCWaitVC][p]; m != 0; m &= m - 1 {
-				ivc := r.in[p][bits.TrailingZeros64(m)]
-				if ivc.OutDir == outDir && ivc.RCCycle < now {
-					r.vaScratch = append(r.vaScratch, saRequest{port: p, ivc: ivc})
-				}
-			}
-		}
-		reqs := r.vaScratch
-		if len(reqs) == 0 {
-			continue
-		}
-		if r.AllocOK != nil && outDir != topology.Local && !r.AllocOK(outDir) {
-			// Handshake forbids starting new packets toward outDir:
-			// return requesters to RC so they can adapt to the new
-			// power states next cycle.
-			for _, q := range reqs {
-				r.setState(topology.Direction(q.port), q.ivc, noc.VCRouting)
-			}
-			continue
-		}
-		start := r.vaPtr[out] % len(reqs)
-		for i := 0; i < len(reqs); i++ {
-			q := reqs[(start+i)%len(reqs)]
-			f := q.ivc.Front()
-			if f == nil {
-				continue
-			}
-			granted := -1
-			for _, vc := range r.candidateVCs(f.Pkt, outDir) {
-				if !r.out[out].Allocated[vc] {
-					granted = vc
-					break
-				}
-			}
-			if granted < 0 {
-				continue
-			}
-			r.out[out].Allocated[granted] = true
-			q.ivc.OutVC = granted
-			r.setState(topology.Direction(q.port), q.ivc, noc.VCActive)
-			q.ivc.VACycle = now
-			q.ivc.WaitSince = now
-			r.Ledger.AddDyn(power.CatArbitration, 1)
-		}
-		r.vaPtr[out]++
+		r.allocOutput(topology.Direction(out), &reqs[out], count[out], now)
+	}
+}
 
-		// Fault recovery: a requester starved of a VC grant past the
-		// escape timeout (the downstream VC may be wedged behind failed
-		// hardware) escalates to the escape subnetwork, and one wedged
-		// beyond the drop timeout is classified undeliverable. Inactive
-		// until the first fault, so fault-free runs are unaffected.
-		if r.Faults != nil && r.Faults.Recovering() {
-			for _, q := range reqs {
-				ivc := q.ivc
-				if ivc.State != noc.VCWaitVC {
-					continue
+// allocOutput runs VC allocation for one output port over its
+// requesters (a mask per input port, count in all).
+func (r *Router) allocOutput(outDir topology.Direction, reqs *[topology.NumPorts]uint64, count int, now int64) {
+	if r.AllocOK != nil && outDir != topology.Local && !r.AllocOK(outDir) {
+		// Handshake forbids starting new packets toward outDir: return
+		// requesters to RC so they can adapt to the new power states next
+		// cycle.
+		for p := topology.Direction(0); p < topology.NumPorts; p++ {
+			for m := reqs[p]; m != 0; m &= m - 1 {
+				r.setState(p, r.in[p][bits.TrailingZeros64(m)], noc.VCRouting)
+			}
+		}
+		return
+	}
+	// Grant round-robin from the requester at index start in (port, VC)
+	// order: the requesters from start on, then those before it.
+	start := r.vaPtr[outDir] % count
+	r.vaPtr[outDir]++
+	for _, first := range [2]bool{true, false} {
+		k := 0
+		for p := topology.Direction(0); p < topology.NumPorts; p++ {
+			for m := reqs[p]; m != 0; m &= m - 1 {
+				if (k >= start) == first {
+					r.grantVC(outDir, p, r.in[p][bits.TrailingZeros64(m)], now)
 				}
-				f := ivc.Front()
-				if f == nil {
-					continue
-				}
-				waited := now - ivc.WaitSince
-				if r.Faults.StuckDrop(f.Pkt, waited) {
-					r.dropFront(topology.Direction(q.port), ivc, now)
-					continue
-				}
-				if !f.Pkt.Escape && waited > int64(r.Cfg.EscapeTimeout) {
-					f.Pkt.Escape = true
-					r.setState(topology.Direction(q.port), ivc, noc.VCRouting)
-				}
+				k++
+			}
+		}
+	}
+
+	// Fault recovery: a requester starved of a VC grant past the escape
+	// timeout (the downstream VC may be wedged behind failed hardware)
+	// escalates to the escape subnetwork, and one wedged beyond the drop
+	// timeout is classified undeliverable. Inactive until the first
+	// fault, so fault-free runs are unaffected.
+	if r.Faults == nil || !r.Faults.Recovering() {
+		return
+	}
+	for p := topology.Direction(0); p < topology.NumPorts; p++ {
+		for m := reqs[p]; m != 0; m &= m - 1 {
+			ivc := r.in[p][bits.TrailingZeros64(m)]
+			if ivc.State != noc.VCWaitVC {
+				continue
+			}
+			f := ivc.Front()
+			if f.Pkt == 0 {
+				continue
+			}
+			pkt := r.Pkts.Get(f.Pkt)
+			waited := now - ivc.WaitSince
+			if r.Faults.StuckDrop(pkt, waited) {
+				r.dropFront(p, ivc, now)
+				continue
+			}
+			if !pkt.Escape && waited > int64(r.Cfg.EscapeTimeout) {
+				pkt.Escape = true
+				r.setState(p, ivc, noc.VCRouting)
 			}
 		}
 	}
 }
 
-// saRequest is one input VC's allocation request (the VA stage's reused
-// scratch element).
-type saRequest struct {
-	port int
-	ivc  *noc.InputVC
+// grantVC allocates a free downstream VC on outDir to the packet at the
+// front of input VC ivc of port p, if one is free.
+func (r *Router) grantVC(outDir, p topology.Direction, ivc *noc.InputVC, now int64) {
+	f := ivc.Front()
+	if f.Pkt == 0 {
+		return
+	}
+	granted := r.freeVC(r.Pkts.Get(f.Pkt), outDir)
+	if granted < 0 {
+		return
+	}
+	r.out[outDir].Allocated[granted] = true
+	ivc.OutVC = granted
+	r.setState(p, ivc, noc.VCActive)
+	ivc.VACycle = now
+	ivc.WaitSince = now
+	r.Ledger.AddDyn(power.CatArbitration, 1)
 }
 
 // stageSA performs switch allocation and traversal: one flit per input
@@ -681,15 +692,16 @@ func (r *Router) stageSA(now int64) {
 // timeout: release the (untouched) allocation and re-route via escape.
 func (r *Router) maybeEscapeStarved(p topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Front()
-	if f == nil || !f.Type.IsHead() {
+	if f.Pkt == 0 || !f.Type.IsHead() {
 		return // mid-packet: downstream will drain via its own recovery
 	}
-	if f.Pkt.Escape || now-ivc.WaitSince <= int64(r.Cfg.EscapeTimeout) {
+	pkt := r.Pkts.Get(f.Pkt)
+	if pkt.Escape || now-ivc.WaitSince <= int64(r.Cfg.EscapeTimeout) {
 		return
 	}
 	r.out[ivc.OutDir].Allocated[ivc.OutVC] = false
 	ivc.OutVC = -1
-	f.Pkt.Escape = true
+	pkt.Escape = true
 	r.setState(p, ivc, noc.VCRouting)
 }
 
@@ -700,7 +712,7 @@ func (r *Router) maybeEscapeStarved(p topology.Direction, ivc *noc.InputVC, now 
 // escape route died under them and must be recomputed.
 func (r *Router) releaseBlocked(p topology.Direction, ivc *noc.InputVC, now int64) {
 	f := ivc.Front()
-	if f == nil || !f.Type.IsHead() {
+	if f.Pkt == 0 || !f.Type.IsHead() {
 		return // mid-packet: must wait for the link to heal
 	}
 	if now-ivc.WaitSince <= int64(r.Cfg.EscapeTimeout) {
@@ -708,7 +720,7 @@ func (r *Router) releaseBlocked(p topology.Direction, ivc *noc.InputVC, now int6
 	}
 	r.out[ivc.OutDir].Allocated[ivc.OutVC] = false
 	ivc.OutVC = -1
-	f.Pkt.Escape = true
+	r.Pkts.Get(f.Pkt).Escape = true
 	r.setState(p, ivc, noc.VCRouting)
 }
 
@@ -718,18 +730,18 @@ func (r *Router) releaseBlocked(p topology.Direction, ivc *noc.InputVC, now int6
 // whole packet is resident (head through tail) — wormhole flow control
 // plus PacketSize <= BufferDepth guarantees the remaining flits arrive —
 // and reports whether the drop happened. The VC must hold no downstream
-// allocation (VCRouting/VCWaitVC states only).
+// allocation (VCRouting/VCWaitVC states only). Once OnDrop has run the
+// packet's arena slot is freed: no flit names it any more.
 func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64) bool {
-	head := ivc.Front()
-	if head == nil {
+	h := ivc.Front().Pkt
+	if h == 0 {
 		return false
 	}
-	pkt := head.Pkt
 	count := 0
 	complete := false
 	for i := 0; i < ivc.Len(); i++ {
 		f := ivc.At(i)
-		if f.Pkt != pkt {
+		if f.Pkt != h {
 			break
 		}
 		count++
@@ -753,15 +765,16 @@ func (r *Router) dropFront(port topology.Direction, ivc *noc.InputVC, now int64)
 	} else {
 		nf := ivc.Front()
 		if !nf.Type.IsHead() {
-			panic(fmt.Sprintf("router %d: flit %s behind dropped tail is not a head", r.ID, nf))
+			panic(fmt.Sprintf("router %d: flit %s behind dropped tail is not a head", r.ID, r.Pkts.Describe(nf)))
 		}
 		ivc.OutVC = -1
 		r.setState(port, ivc, noc.VCRouting)
 		ivc.WaitSince = now
 	}
 	if r.OnDrop != nil {
-		r.OnDrop(pkt, count, now)
+		r.OnDrop(r.Pkts.Get(h), count, now)
 	}
+	r.Pkts.Free(h)
 	return true
 }
 
@@ -777,10 +790,14 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 	r.Traversals++
 
 	if f.Type.IsHead() {
-		f.Pkt.ActiveHops++
+		pkt := r.Pkts.Get(f.Pkt)
+		pkt.ActiveHops++
+		if outDir != topology.Local {
+			pkt.LinkHops++
+		}
 	}
 
-	f.VC = ivc.OutVC
+	f.VC = uint8(ivc.OutVC)
 	r.out[outDir].Consume(ivc.OutVC)
 	if TraceCredit != nil {
 		TraceCredit(r.ID, outDir, ivc.OutVC, r.out[outDir].Credits[ivc.OutVC], "consume")
@@ -788,9 +805,6 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 	r.Ports[outDir].OutFlit.Push(now, f)
 	if outDir != topology.Local {
 		r.Ledger.AddDyn(power.CatLink, 1)
-		if f.Type.IsHead() {
-			f.Pkt.LinkHops++
-		}
 	}
 
 	// Credit back to whoever feeds this input port (router or NI).
@@ -807,7 +821,7 @@ func (r *Router) traverse(port int, ivc *noc.InputVC, now int64) {
 		} else {
 			nf := ivc.Front()
 			if !nf.Type.IsHead() {
-				panic(fmt.Sprintf("router %d: flit %s behind tail is not a head", r.ID, nf))
+				panic(fmt.Sprintf("router %d: flit %s behind tail is not a head", r.ID, r.Pkts.Describe(nf)))
 			}
 			ivc.OutVC = -1
 			r.setState(topology.Direction(port), ivc, noc.VCRouting)

@@ -48,9 +48,8 @@ func TestArrivalsPendingAndLocalActivity(t *testing.T) {
 	if h.r.ArrivalsPending() || h.r.LocalActivity() {
 		t.Fatal("fresh router reports pending work")
 	}
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 1}
-	f := noc.MakePacketFlits(p)[0]
-	h.localIn.Push(0, f)
+	ref, _ := h.packet(1, 0, 1, 1)
+	h.localIn.Push(0, h.flits(ref, 0)[0])
 	if !h.r.ArrivalsPending() {
 		t.Fatal("queued arrival not detected")
 	}
@@ -67,8 +66,8 @@ func TestArrivalsPendingAndLocalActivity(t *testing.T) {
 func TestLocalActivityOnEjection(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
-	p := &noc.Packet{ID: 1, Src: 1, Dst: 0, Size: 4} // routes to Local
-	h.inject(p, 0)
+	ref, _ := h.packet(1, 1, 0, 4) // routes to Local
+	h.inject(ref, 0)
 	saw := false
 	for h.now < 10 {
 		h.step()
@@ -100,8 +99,8 @@ func TestEscapeStarvedReleasesUntouchedAllocation(t *testing.T) {
 	for vc := range out.Credits {
 		out.Credits[vc] = 0
 	}
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	h.inject(p, 0)
+	ref, p := h.packet(1, 0, 1, 4)
+	h.inject(ref, 0)
 	escapeRouted := false
 	h.r.RouteFn = func(inDir topology.Direction, escape bool, pkt *noc.Packet) routing.Decision {
 		if escape {

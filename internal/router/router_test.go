@@ -16,13 +16,13 @@ import (
 type harness struct {
 	r *Router
 
-	localIn   *sim.Delay[*noc.Flit] // we -> router (injection)
-	localCred *sim.Delay[Signal]    // router -> us (credits for injection VCs)
-	eastOut   *sim.Delay[*noc.Flit] // router -> east neighbor
-	eastCred  *sim.Delay[Signal]    // east neighbor -> router (credits)
-	eastCtrl  *sim.Delay[Signal]    // router -> east neighbor (ctrl)
-	localOut  *sim.Delay[*noc.Flit] // router -> us (ejection)
-	localDown *sim.Delay[Signal]    // we -> router (ejection credits)
+	localIn   *sim.Delay[noc.Flit] // we -> router (injection)
+	localCred *sim.Delay[Signal]   // router -> us (credits for injection VCs)
+	eastOut   *sim.Delay[noc.Flit] // router -> east neighbor
+	eastCred  *sim.Delay[Signal]   // east neighbor -> router (credits)
+	eastCtrl  *sim.Delay[Signal]   // router -> east neighbor (ctrl)
+	localOut  *sim.Delay[noc.Flit] // router -> us (ejection)
+	localDown *sim.Delay[Signal]   // we -> router (ejection credits)
 
 	now int64
 }
@@ -36,15 +36,15 @@ func newHarness(t *testing.T, cfg config.Config) *harness {
 	ledger := power.NewLedger(power.NewModel(cfg))
 	// Node 0 is the SW corner: it has East and North neighbors; we wire
 	// East and Local only and route everything East.
-	r := New(0, cfg, mesh, ledger)
+	r := New(0, cfg, mesh, ledger, noc.NewArena())
 	h := &harness{
 		r:         r,
-		localIn:   sim.NewDelay[*noc.Flit](1),
+		localIn:   sim.NewDelay[noc.Flit](1),
 		localCred: sim.NewDelay[Signal](1),
-		eastOut:   sim.NewDelay[*noc.Flit](cfg.LinkLatency),
+		eastOut:   sim.NewDelay[noc.Flit](cfg.LinkLatency),
 		eastCred:  sim.NewDelay[Signal](1),
 		eastCtrl:  sim.NewDelay[Signal](1),
-		localOut:  sim.NewDelay[*noc.Flit](1),
+		localOut:  sim.NewDelay[noc.Flit](1),
 		localDown: sim.NewDelay[Signal](1),
 	}
 	r.Ports[topology.Local] = PortLink{
@@ -63,12 +63,40 @@ func newHarness(t *testing.T, cfg config.Config) *harness {
 	return h
 }
 
+// packet allocates a packet in the router's arena and returns its
+// handle and live record.
+func (h *harness) packet(id uint64, src, dst, size int) (noc.PacketRef, *noc.Packet) {
+	p := h.r.Pkts.Alloc()
+	p.ID, p.Src, p.Dst, p.Size = id, src, dst, size
+	return p.Ref, p
+}
+
+// flits returns packet ref's flit train, every flit headed to input VC
+// vc.
+func (h *harness) flits(ref noc.PacketRef, vc int) []noc.Flit {
+	size := h.r.Pkts.Get(ref).Size
+	fl := make([]noc.Flit, size)
+	for i := range fl {
+		fl[i] = noc.NewFlit(ref, i, size)
+		fl[i].VC = uint8(vc)
+	}
+	return fl
+}
+
 // inject pushes a whole packet's flits, one per cycle, starting now.
-func (h *harness) inject(p *noc.Packet, vc int) {
-	for i, f := range noc.MakePacketFlits(p) {
-		f.VC = vc
+func (h *harness) inject(ref noc.PacketRef, vc int) {
+	for i, f := range h.flits(ref, vc) {
 		h.localIn.Push(h.now+int64(i), f)
 	}
+}
+
+// popAll pops every item visible on q at cycle now.
+func popAll[T any](q *sim.Delay[T], now int64) []T {
+	var out []T
+	for v, ok := q.Pop(now); ok; v, ok = q.Pop(now) {
+		out = append(out, v)
+	}
+	return out
 }
 
 func (h *harness) step() {
@@ -79,14 +107,14 @@ func (h *harness) step() {
 func TestRouterPipelineTiming(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 1}
-	f := noc.MakePacketFlits(p)[0]
+	ref, p := h.packet(1, 0, 1, 1)
+	f := h.flits(ref, 0)[0]
 	h.localIn.Push(0, f) // visible to the router at cycle 1
 	var depart int64 = -1
 	for h.now < 20 && depart < 0 {
 		h.step()
 		if got, ok := h.eastOut.Pop(h.now); ok {
-			if got != f {
+			if got.Pkt != ref || got.Type != f.Type {
 				t.Fatal("wrong flit departed")
 			}
 			depart = h.now
@@ -105,8 +133,8 @@ func TestRouterPipelineTiming(t *testing.T) {
 func TestRouterWormholeThroughput(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	h.inject(p, 0)
+	ref, _ := h.packet(1, 0, 1, 4)
+	h.inject(ref, 0)
 	var departs []int64
 	for h.now < 30 {
 		h.step()
@@ -131,17 +159,17 @@ func TestRouterWormholeThroughput(t *testing.T) {
 func TestRouterCreditsReturnedUpstream(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	h.inject(p, 1)
+	ref, _ := h.packet(1, 0, 1, 4)
+	h.inject(ref, 1)
 	credits := 0
 	for h.now < 30 {
 		h.step()
-		h.eastOut.Drain(h.now, func(*noc.Flit) {})
-		h.localCred.Drain(h.now, func(s Signal) {
+		popAll(h.eastOut, h.now)
+		for _, s := range popAll(h.localCred, h.now) {
 			if s.IsCredit && s.VC == 1 {
 				credits++
 			}
-		})
+		}
 	}
 	if credits != 4 {
 		t.Fatalf("returned %d credits, want 4", credits)
@@ -154,9 +182,8 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	// Deny all downstream credit returns; 3 regular VCs x 6 credits = 18
 	// flit budget on the East output. Offer 6 packets (24 flits).
 	for i := 0; i < 6; i++ {
-		p := &noc.Packet{ID: uint64(i + 1), Src: 0, Dst: 1, Size: 4}
-		for j, f := range noc.MakePacketFlits(p) {
-			f.VC = i % 3 // spread across local input VCs
+		ref, _ := h.packet(uint64(i+1), 0, 1, 4)
+		for j, f := range h.flits(ref, i%3) { // spread across local input VCs
 			h.localIn.Push(int64(i*4+j), f)
 		}
 	}
@@ -164,10 +191,10 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	consumed := map[int]int{}
 	for h.now < 120 {
 		h.step()
-		h.eastOut.Drain(h.now, func(f *noc.Flit) {
+		for _, f := range popAll(h.eastOut, h.now) {
 			sent++
-			consumed[f.VC]++
-		})
+			consumed[int(f.VC)]++
+		}
 	}
 	// Credit budget allows 18, but packet 6 is head-of-line blocked in
 	// its input VC behind packet 3 (stuck mid-packet on a starved output
@@ -184,10 +211,10 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	}
 	for h.now < 240 {
 		h.step()
-		h.eastOut.Drain(h.now, func(f *noc.Flit) {
+		for _, f := range popAll(h.eastOut, h.now) {
 			sent++
-			h.eastCred.Push(h.now, CreditSignal(f.VC))
-		})
+			h.eastCred.Push(h.now, CreditSignal(int(f.VC)))
+		}
 	}
 	if sent != 24 {
 		t.Fatalf("sent %d flits total after credits returned, want 24", sent)
@@ -197,12 +224,12 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 func TestRouterEjection(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
-	p := &noc.Packet{ID: 1, Src: 1, Dst: 0, Size: 4}
-	h.inject(p, 0)
+	ref, _ := h.packet(1, 1, 0, 4)
+	h.inject(ref, 0)
 	got := 0
 	for h.now < 30 {
 		h.step()
-		h.localOut.Drain(h.now, func(*noc.Flit) { got++ })
+		got += len(popAll(h.localOut, h.now))
 	}
 	if got != 4 {
 		t.Fatalf("ejected %d flits", got)
@@ -214,12 +241,12 @@ func TestRouterAllocOKBlocksNewPackets(t *testing.T) {
 	h := newHarness(t, cfg)
 	allow := false
 	h.r.AllocOK = func(d topology.Direction) bool { return allow }
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	h.inject(p, 0)
+	ref, _ := h.packet(1, 0, 1, 4)
+	h.inject(ref, 0)
 	sent := 0
 	for h.now < 40 {
 		h.step()
-		h.eastOut.Drain(h.now, func(*noc.Flit) { sent++ })
+		sent += len(popAll(h.eastOut, h.now))
 	}
 	if sent != 0 {
 		t.Fatalf("sent %d flits while allocation blocked", sent)
@@ -227,7 +254,7 @@ func TestRouterAllocOKBlocksNewPackets(t *testing.T) {
 	allow = true
 	for h.now < 80 {
 		h.step()
-		h.eastOut.Drain(h.now, func(*noc.Flit) { sent++ })
+		sent += len(popAll(h.eastOut, h.now))
 	}
 	if sent != 4 {
 		t.Fatalf("sent %d flits after unblock", sent)
@@ -240,15 +267,15 @@ func TestRouterCommittedTo(t *testing.T) {
 	if h.r.CommittedTo(topology.East) {
 		t.Fatal("fresh router committed")
 	}
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	h.inject(p, 0)
+	ref, _ := h.packet(1, 0, 1, 4)
+	h.inject(ref, 0)
 	sawCommit := false
 	for h.now < 40 {
 		h.step()
 		if h.r.CommittedTo(topology.East) {
 			sawCommit = true
 		}
-		h.eastOut.Drain(h.now, func(*noc.Flit) {})
+		popAll(h.eastOut, h.now)
 	}
 	if !sawCommit {
 		t.Fatal("never committed during packet transfer")
@@ -273,17 +300,17 @@ func TestRouterEscapeTimeout(t *testing.T) {
 		escaped = true
 		return routing.Decision{Dir: topology.East}
 	}
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	h.inject(p, 0)
+	ref, p := h.packet(1, 0, 1, 4)
+	h.inject(ref, 0)
 	sent := 0
 	for h.now < 60 {
 		h.step()
-		h.eastOut.Drain(h.now, func(f *noc.Flit) {
+		for _, f := range popAll(h.eastOut, h.now) {
 			sent++
-			if !cfg.IsEscapeVC(f.VC) {
+			if !cfg.IsEscapeVC(int(f.VC)) {
 				t.Fatalf("escape packet on regular VC %d", f.VC)
 			}
-		})
+		}
 	}
 	if !escaped || !p.Escape {
 		t.Fatal("packet never escaped after timeout")
@@ -301,8 +328,8 @@ func TestRouterWakeReqOnHold(t *testing.T) {
 	h.r.RouteFn = func(inDir topology.Direction, escape bool, pkt *noc.Packet) routing.Decision {
 		return routing.Decision{Hold: true, WakeTarget: pkt.Dst}
 	}
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 5, Size: 1}
-	h.inject(p, 0)
+	ref, _ := h.packet(1, 0, 5, 1)
+	h.inject(ref, 0)
 	for h.now < 10 {
 		h.step()
 	}
@@ -314,9 +341,8 @@ func TestRouterWakeReqOnHold(t *testing.T) {
 func TestRouterPanicsOnNonHeadIntoIdleVC(t *testing.T) {
 	cfg := config.Default()
 	h := newHarness(t, cfg)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Size: 4}
-	body := noc.MakePacketFlits(p)[1]
-	body.VC = 0
+	ref, _ := h.packet(1, 0, 1, 4)
+	body := h.flits(ref, 0)[1]
 	h.localIn.Push(0, body)
 	defer func() {
 		if recover() == nil {

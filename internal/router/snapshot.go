@@ -41,7 +41,7 @@ func (r *Router) CaptureState(t *noc.PacketTable) State {
 // RestoreState overwrites the router's mutable state from a capture. The
 // receiver must have been built from the same configuration (same port
 // and VC counts); mismatches are reported, never partially applied.
-func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
+func (r *Router) RestoreState(s State, pkts []noc.PacketRef) error {
 	np := int(topology.NumPorts)
 	if len(s.In) != np || len(s.Out) != np ||
 		len(s.VAPtr) != np || len(s.SAPtr) != np || len(s.InPtr) != np {
@@ -51,6 +51,13 @@ func (r *Router) RestoreState(s State, pkts []*noc.Packet) error {
 		if len(s.In[p]) != len(r.in[p]) {
 			return fmt.Errorf("router %d port %d: snapshot has %d VCs, router has %d",
 				r.ID, p, len(s.In[p]), len(r.in[p]))
+		}
+		for v, vc := range s.In[p] {
+			if vc.State > noc.VCActive || vc.OutDir < 0 || vc.OutDir >= topology.NumPorts ||
+				vc.OutVC < -1 || vc.OutVC >= len(r.in[p]) || len(vc.Flits) > r.in[p][v].Capacity() {
+				return fmt.Errorf("router %d port %d vc %d: snapshot has state %d, route %d, output vc %d and %d flits",
+					r.ID, p, v, vc.State, vc.OutDir, vc.OutVC, len(vc.Flits))
+			}
 		}
 		if len(s.Out[p].Credits) != len(r.out[p].Credits) {
 			return fmt.Errorf("router %d port %d: snapshot has %d output VCs, router has %d",

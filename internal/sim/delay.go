@@ -74,6 +74,12 @@ func (d *Delay[T]) Ready(now int64) bool {
 }
 
 // Pop removes and returns the front item if it is visible at cycle now.
+// Consumers drain a queue with a plain loop,
+//
+//	for v, ok := q.Pop(now); ok; v, ok = q.Pop(now) { ... }
+//
+// which visits every visible item in order and, unlike a callback,
+// keeps the consumer's body inline.
 func (d *Delay[T]) Pop(now int64) (T, bool) {
 	var zero T
 	if !d.Ready(now) {
@@ -84,15 +90,6 @@ func (d *Delay[T]) Pop(now int64) (T, bool) {
 	copy(d.items, d.items[1:])
 	d.items = d.items[:len(d.items)-1]
 	return v, true
-}
-
-// Drain visits every item visible at cycle now, in order, without
-// allocating a result slice.
-func (d *Delay[T]) Drain(now int64, fn func(T)) {
-	for d.Ready(now) {
-		v, _ := d.Pop(now)
-		fn(v)
-	}
 }
 
 // Each visits every queued item (visible or not), in order, without

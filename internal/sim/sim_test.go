@@ -115,7 +115,9 @@ func TestDelayFIFOWithinCycle(t *testing.T) {
 	d.Push(0, 2)
 	d.Push(0, 3)
 	var got []int
-	d.Drain(1, func(v int) { got = append(got, v) })
+	for v, ok := d.Pop(1); ok; v, ok = d.Pop(1) {
+		got = append(got, v)
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order violated: %v", got)
 	}
@@ -225,14 +227,16 @@ func TestDelayRejectsZeroLatency(t *testing.T) {
 	NewDelay[int](0)
 }
 
-func TestDelayDrainConsumesOnlyReady(t *testing.T) {
+func TestDelayPopConsumesOnlyReady(t *testing.T) {
 	d := NewDelay[int](1)
 	d.Push(0, 1)
 	d.Push(5, 2)
 	var got []int
-	d.Drain(1, func(v int) { got = append(got, v) })
+	for v, ok := d.Pop(1); ok; v, ok = d.Pop(1) {
+		got = append(got, v)
+	}
 	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Drain consumed wrong items: %v", got)
+		t.Fatalf("pop loop consumed wrong items: %v", got)
 	}
 	if d.Len() != 1 {
 		t.Fatal("unready item removed")

@@ -76,7 +76,7 @@ type State struct {
 // order: inter-router links by (router id, direction), then each node's
 // injection and ejection channels. Capture and restore both use this
 // enumeration, so queue identity is positional.
-func eachFlitQueue(n *network.Network, fn func(q *sim.Delay[*noc.Flit])) {
+func eachFlitQueue(n *network.Network, fn func(q *sim.Delay[noc.Flit])) {
 	for id := 0; id < n.Cfg.N(); id++ {
 		for d := topology.Direction(0); d < topology.NumLinkDirs; d++ {
 			if n.Mesh.Neighbor(id, d) < 0 {
@@ -111,7 +111,7 @@ func eachCtrlQueue(n *network.Network, fn func(q *sim.Delay[router.Signal])) {
 // Capture assembles the full state of a live simulation. d may be nil
 // for synthetic (open-loop) runs.
 func Capture(n *network.Network, d *trace.Driver) (*State, error) {
-	t := noc.NewPacketTable()
+	t := noc.NewPacketTable(n.Pkts)
 	st := &State{
 		Meta: Meta{
 			Cfg:       n.Cfg,
@@ -123,7 +123,7 @@ func Capture(n *network.Network, d *trace.Driver) (*State, error) {
 	}
 
 	var chanErr error
-	eachFlitQueue(n, func(q *sim.Delay[*noc.Flit]) {
+	eachFlitQueue(n, func(q *sim.Delay[noc.Flit]) {
 		var fq FlitQueueState
 		for _, it := range q.Queued() {
 			fq.Items = append(fq.Items, QueuedFlit{Ready: it.Ready, F: noc.CaptureFlit(t, it.V)})
@@ -262,26 +262,41 @@ func Load(r io.Reader) (*State, error) {
 	return st, nil
 }
 
-// validateRefs checks every packet-table index in the state before any
-// of it is applied, so a malformed snapshot can never index out of
-// range mid-restore.
-func (st *State) validateRefs() error {
+// validateRefs checks every packet and every packet-table reference in
+// the state before any of it is applied, so a malformed snapshot can
+// never index out of range, truncate a flit field or leave an arena slot
+// that no site names. vcs is the receiving network's VCs per port.
+func (st *State) validateRefs(vcs int) error {
 	np := len(st.Packets)
+	for i, p := range st.Packets {
+		if p.Size < 1 || p.Size > noc.MaxPacketSize {
+			return fmt.Errorf("%w: packet %d has size %d", ErrCorrupt, i, p.Size)
+		}
+	}
+	used := make([]bool, np)
 	check := func(site string, idx int) error {
 		if idx < 0 || idx >= np {
 			return fmt.Errorf("%w: %s references packet %d of %d", ErrCorrupt, site, idx, np)
 		}
+		used[idx] = true
+		return nil
+	}
+	checkFlit := func(site string, f noc.FlitState) error {
+		if err := f.Validate(st.Packets, vcs); err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrCorrupt, site, err)
+		}
+		used[f.Pkt] = true
 		return nil
 	}
 	for ri, r := range st.Net.Routers {
-		for p, vcs := range r.In {
-			for v, vc := range vcs {
+		for p, port := range r.In {
+			for v, vc := range port {
 				if len(vc.Flits) != len(vc.Arrived) {
 					return fmt.Errorf("%w: router %d port %d vc %d: %d flits but %d arrival stamps",
 						ErrCorrupt, ri, p, v, len(vc.Flits), len(vc.Arrived))
 				}
 				for _, f := range vc.Flits {
-					if err := check(fmt.Sprintf("router %d input buffer", ri), f.Pkt); err != nil {
+					if err := checkFlit(fmt.Sprintf("router %d input buffer", ri), f); err != nil {
 						return err
 					}
 				}
@@ -306,7 +321,7 @@ func (st *State) validateRefs() error {
 	}
 	for qi, fq := range st.Chans.Flits {
 		for _, it := range fq.Items {
-			if err := check(fmt.Sprintf("flit queue %d", qi), it.F.Pkt); err != nil {
+			if err := checkFlit(fmt.Sprintf("flit queue %d", qi), it.F); err != nil {
 				return err
 			}
 		}
@@ -314,10 +329,15 @@ func (st *State) validateRefs() error {
 	if st.FLOV != nil {
 		for ri, r := range st.FLOV.Routers {
 			for _, f := range r.Latch {
-				if err := check(fmt.Sprintf("flov router %d latch", ri), f.Pkt); err != nil {
+				if err := checkFlit(fmt.Sprintf("flov router %d latch", ri), f); err != nil {
 					return err
 				}
 			}
+		}
+	}
+	for i, u := range used {
+		if !u {
+			return fmt.Errorf("%w: packet %d is referenced by no flit or queue", ErrCorrupt, i)
 		}
 	}
 	return nil
@@ -339,7 +359,7 @@ func countQueues(n *network.Network) (flits, ctrls int) {
 
 // apply overlays a validated state onto a freshly built simulation.
 func (st *State) apply(n *network.Network, d *trace.Driver) error {
-	if err := st.validateRefs(); err != nil {
+	if err := st.validateRefs(n.Cfg.VCsTotal()); err != nil {
 		return err
 	}
 	wantFlits, wantCtrls := countQueues(n)
@@ -348,9 +368,11 @@ func (st *State) apply(n *network.Network, d *trace.Driver) error {
 			ErrCorrupt, len(st.Chans.Flits), len(st.Chans.Ctrls), wantFlits, wantCtrls)
 	}
 
-	pkts := make([]*noc.Packet, len(st.Packets))
+	// The receiving network's arena holds exactly the captured packets.
+	n.Pkts.Reset()
+	pkts := make([]noc.PacketRef, len(st.Packets))
 	for i, ps := range st.Packets {
-		pkts[i] = ps.Materialize()
+		pkts[i] = n.Pkts.Add(ps.Materialize())
 	}
 
 	if err := n.RestoreState(st.Net, pkts); err != nil {
@@ -358,10 +380,10 @@ func (st *State) apply(n *network.Network, d *trace.Driver) error {
 	}
 
 	qi := 0
-	eachFlitQueue(n, func(q *sim.Delay[*noc.Flit]) {
-		items := make([]sim.Queued[*noc.Flit], 0, len(st.Chans.Flits[qi].Items))
+	eachFlitQueue(n, func(q *sim.Delay[noc.Flit]) {
+		items := make([]sim.Queued[noc.Flit], 0, len(st.Chans.Flits[qi].Items))
 		for _, it := range st.Chans.Flits[qi].Items {
-			items = append(items, sim.Queued[*noc.Flit]{Ready: it.Ready, V: it.F.Materialize(pkts)})
+			items = append(items, sim.Queued[noc.Flit]{Ready: it.Ready, V: it.F.Materialize(pkts)})
 		}
 		q.SetQueued(items)
 		qi++

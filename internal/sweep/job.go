@@ -289,6 +289,11 @@ func NewMechanism(m config.Mechanism) (network.Mechanism, error) {
 func (j Job) Run() Result {
 	start := time.Now()
 	r := Result{Job: j}
+	if err := j.validate(); err != nil {
+		r.Err = err.Error()
+		r.Wall = time.Since(start)
+		return r
+	}
 	switch j.Kind {
 	case Synthetic:
 		res, err := j.runSynthetic()
@@ -302,11 +307,26 @@ func (j Job) Run() Result {
 			r.Err = err.Error()
 		}
 		r.Out = out
-	default:
-		r.Err = fmt.Sprintf("sweep: unknown job kind %v", j.Kind)
 	}
 	r.Wall = time.Since(start)
 	return r
+}
+
+// validate rejects jobs no run path can execute as specified. Run and
+// RunResumable both call it first, so the cold and resumable paths
+// accept exactly the same jobs.
+func (j Job) validate() error {
+	switch j.Kind {
+	case Synthetic:
+		return nil
+	case PARSEC:
+		if j.Faults != nil {
+			return fmt.Errorf("sweep: fault injection is only supported for synthetic jobs")
+		}
+		return nil
+	default:
+		return fmt.Errorf("sweep: unknown job kind %v", j.Kind)
+	}
 }
 
 // runSynthetic mirrors flov.RunSynthetic: static mask drawn from
@@ -322,9 +342,6 @@ func (j Job) runSynthetic() (network.Results, error) {
 // runPARSEC mirrors flov.RunProfile: closed-loop driver over the job's
 // profile, bounded by MaxCycles.
 func (j Job) runPARSEC() (trace.Outcome, error) {
-	if j.Faults != nil {
-		return trace.Outcome{}, fmt.Errorf("sweep: fault injection is only supported for synthetic jobs")
-	}
 	mech, err := NewMechanism(j.Mechanism)
 	if err != nil {
 		return trace.Outcome{}, err

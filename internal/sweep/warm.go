@@ -139,13 +139,16 @@ func (j Job) RunWarm(c *Cache) Result {
 func (j Job) RunResumable(snap []byte, pause func() bool) Result {
 	start := time.Now()
 	r := Result{Job: j}
+	if err := j.validate(); err != nil {
+		r.Err = err.Error()
+		r.Wall = time.Since(start)
+		return r
+	}
 	switch j.Kind {
 	case Synthetic:
 		r = j.runSyntheticResumable(snap, pause)
 	case PARSEC:
 		r = j.runPARSECResumable(snap, pause)
-	default:
-		r.Err = fmt.Sprintf("sweep: unknown job kind %v", j.Kind)
 	}
 	r.Wall = time.Since(start)
 	return r

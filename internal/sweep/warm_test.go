@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"flov/internal/config"
+	"flov/internal/fault"
+	"flov/internal/trace"
 )
 
 // rowJSON renders a result as its durable JSON row (transient fields are
@@ -361,5 +363,35 @@ func TestWarmStartBench(t *testing.T) {
 	t.Logf("warm-start bench: cold=%v warm=%v speedup=%.2fx", coldWall, warmWall, speedup)
 	if speedup < 2 {
 		t.Fatalf("warm-start speedup %.2fx below the 2x acceptance bound", speedup)
+	}
+}
+
+// TestPARSECFaultsRejectedOnEveryPath pins the one validation step: a
+// PARSEC job carrying a fault spec cannot be run as specified, and the
+// cold and resumable paths must both say so instead of one of them
+// running it fault-free.
+func TestPARSECFaultsRejectedOnEveryPath(t *testing.T) {
+	prof, ok := trace.ProfileByName("canneal")
+	if !ok {
+		t.Fatal("canneal profile missing")
+	}
+	cfg := config.FullSystem()
+	cfg.Width, cfg.Height = 4, 4
+	j := Job{
+		Kind:      PARSEC,
+		Config:    cfg,
+		Mechanism: config.GFLOV,
+		Profile:   prof,
+		Seed:      3,
+		MaxCycles: 200,
+		Faults:    &fault.Spec{Seed: 1, LinkRate: 1e-4},
+	}
+	for name, r := range map[string]Result{
+		"Run":          j.Run(),
+		"RunResumable": j.RunResumable(nil, nil),
+	} {
+		if !strings.Contains(r.Err, "fault injection is only supported for synthetic jobs") {
+			t.Errorf("%s: err = %q, want the synthetic-only fault rejection", name, r.Err)
+		}
 	}
 }
